@@ -257,9 +257,16 @@ def _dp_cone_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
         fld = single_source_field(model, p, t_max, time_steps=time_steps)
         ht = fld.ts[1] - fld.ts[0] if len(fld.ts) > 1 else 1.0
         hx = fld.sigmas[1] - fld.sigmas[0] if len(fld.sigmas) > 1 else 1.0
-        ii = np.clip(np.round((pts[:, 0] - fld.ts[0]) / ht).astype(int), 0, len(fld.ts) - 1)
+        ii = np.clip(np.floor((pts[:, 0] - fld.ts[0]) / ht + 1e-9).astype(int),
+                     0, len(fld.ts) - 1)
         jj = np.clip(np.round((pts[:, 1] - p[1] - fld.sigmas[0]) / hx).astype(int),
                      0, len(fld.sigmas) - 1)
+        # read a node in the target's causal past, so that its value is a lower
+        # bound: the floor row's nearest column can lie outside that cone, while the
+        # node one row earlier is >= ht before the target and <= hx / 2 <= ht beside it
+        late = (np.abs(pts[:, 1] - p[1] - fld.sigmas[jj])
+                > pts[:, 0] - fld.ts[ii] + CONE_TOL)
+        ii = np.maximum(ii - late, 0)
         node_vals = fld.value[ii, jj]
         weighted = np.maximum(weighted, np.where(reach, node_vals, -np.inf))
 

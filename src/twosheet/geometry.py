@@ -9,11 +9,17 @@ weighted length of a causal curve is
 
 `max_weighted_length` approximates the supremum of that functional over causal
 curves between two points: closed form where available, otherwise a causal-lattice
-dynamic program followed by deterministic polyline refinement (chord replacement +
-local node moves).  The refined value is a certified lower bound that converges as
+dynamic program followed by deterministic polyline refinement.  Refinement first
+replaces dyadic spans by straight chords, in batches of chords that share no
+segment, then moves single nodes sideways in red/black sweeps (all odd nodes, then
+all even ones).  The refined value is a certified lower bound that converges as
 the lattice refines; a pure lattice path systematically underestimates off-axis
 targets because of velocity quantization, which is why the refinement stage is not
 optional.
+
+Every stage evaluates segments in wide `_segment_values` calls: the lattice sweep
+takes a block of rows per call, and refinement one batch of chords or one colour
+of nodes per call.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
 CONE_TOL = 1e-12        # inclusive cone-boundary comparisons
 CURVE_TOL = 1e-9        # causality tolerance on normalized tangents
 MIN_CURVE_SAMPLES = 17  # composite Simpson needs a real grid (16 intervals)
+LATTICE_BLOCK_SEGMENTS = 2048  # lattice edges per segment call; bounds the sweep's memory
 
 DEFAULT_RESOLUTIONS = {
     "time_steps": 401,       # lattice rows for the dynamic program
@@ -550,36 +557,53 @@ def _build_lattice(model: SpacetimeModel, p: np.ndarray, t_end: float,
     back = np.zeros((nt, J), dtype=np.int32)
     value[0, j0] = 0.0
     flat_cone = model.metric_kind in ("minkowski", "conformal2d")
+    shift_list = [s for s in range(-smax, smax + 1) if abs(s) * hx <= ht + 1e-12]
+    shifts = np.array(shift_list)
 
-    for i in range(nt - 1):
-        prev = value[i]
-        best = np.full(J, -np.inf)
-        bests = np.zeros(J, dtype=np.int32)
-        for s in range(-smax, smax + 1):
-            if abs(s) * hx > ht + 1e-12:
+    # Row i can only be live on the columns j0 +- smax*i, so each (row, shift) pair
+    # needs the edges leaving that window.  Edge values do not depend on the sweep,
+    # so the edges of consecutive pairs, taken row by row, share one _segment_values
+    # call of at most LATTICE_BLOCK_SEGMENTS edges (or of one pair's edges).
+    rows = np.arange(nt - 1)[:, None]
+    src_lo = np.maximum(j0 - smax * rows, np.maximum(0, -shifts)).ravel()
+    src_hi = np.minimum(j0 + smax * rows + 1, np.minimum(J, J - shifts)).ravel()
+    counts = np.maximum(src_hi - src_lo, 0)
+    ends = np.cumsum(counts)  # edges of pairs 0..g, inclusive
+    bounds = np.stack([src_lo, src_hi], axis=1).tolist()
+    n_shifts = len(shift_list)
+
+    g0 = 0
+    while g0 < len(counts):
+        done = ends[g0 - 1] if g0 else 0
+        g1 = max(g0 + 1, int(np.searchsorted(ends, done + LATTICE_BLOCK_SEGMENTS,
+                                             side="right")))
+        offsets = np.concatenate([[0], np.cumsum(counts[g0:g1])])
+        # edge e of pair g leaves column src_lo[g] + e
+        pair = np.repeat(np.arange(g0, g1), counts[g0:g1])
+        col = src_lo[pair] + np.arange(offsets[-1]) - offsets[pair - g0]
+        row = pair // n_shifts
+        a_pts = embed(ts[row], sigmas[col])
+        b_pts = embed(ts[row + 1], sigmas[col + shifts[pair % n_shifts]])
+        if flat_cone:
+            ev = _segment_values(model, a_pts, b_pts, nsub=1)
+        else:
+            ev, ok = _segment_values(model, a_pts, b_pts, nsub=1, need_mask=True)
+            ev = np.where(ok, ev, -np.inf)
+
+        # the pairs of row r update row r + 1 in shift order; row r is final by then
+        offsets = offsets.tolist()
+        for g in range(g0, g1):
+            e0, e1 = offsets[g - g0], offsets[g - g0 + 1]
+            if e1 == e0:
                 continue
-            if s >= 0:
-                src, dst = slice(0, J - s), slice(s, J)
-            else:
-                src, dst = slice(-s, J), slice(0, J + s)
-            live = prev[src] > -np.inf
-            if not np.any(live):
-                continue
-            a_pts = embed(ts[i], sigmas[src])
-            b_pts = embed(ts[i + 1], sigmas[dst])
-            if flat_cone:
-                ev = _segment_values(model, a_pts, b_pts, nsub=1)
-            else:
-                ev, ok = _segment_values(model, a_pts, b_pts, nsub=1, need_mask=True)
-                ev = np.where(ok, ev, -np.inf)
-            cand = prev[src] + ev
-            view_v = best[dst]
-            view_s = bests[dst]
+            r, k = divmod(g, n_shifts)
+            (lo, hi), s = bounds[g], shift_list[k]
+            cand = value[r, lo:hi] + ev[e0:e1]
+            view_v = value[r + 1, lo + s:hi + s]
             better = cand > view_v
-            view_v[better] = cand[better]
-            view_s[better] = s
-        value[i + 1] = best
-        back[i + 1] = bests
+            np.copyto(view_v, cand, where=better)
+            np.copyto(back[r + 1, lo + s:hi + s], s, where=better)
+        g0 = g1
 
     return LatticeField(model=model, ts=ts, sigmas=sigmas, value=value, back=back, embed=embed)
 
@@ -639,32 +663,34 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
                      nsub: int, passes: int = 2) -> Tuple[float, np.ndarray]:
     """Deterministic improvement of a causal polyline; returns (value, nodes).
 
-    Two moves: replace a dyadic span of nodes by the straight chord between its
-    endpoints (repairs the lattice's velocity quantization), and shift single
-    interior nodes sideways (polishes the local profile).  Every accepted move
-    keeps the polyline causal, so the value is always a certified lower bound.
+    Two moves, each batched over nodes whose segments do not overlap, so one
+    `_segment_values` call serves a whole batch:
+
+    - Chord replacement: replace a dyadic span of nodes by the straight chord
+      between its endpoints (repairs the lattice's velocity quantization).  Spans
+      halve from the whole polyline down to 2; the chords of one span start every
+      span // 2 nodes and are tried in groups of segment-disjoint chords.  Only the
+      interior nodes of a chord move, so its endpoints stay exact.
+    - Node moves: shift single interior nodes sideways (polishes the local
+      profile), in red/black sweeps: all odd nodes, then all even ones.  Each node
+      tries every direction, then the steps hx and hx/4, then both signs, starting
+      from wherever its last accepted move left it.  At most `passes` sweeps run,
+      and they stop early when a sweep improves nothing.
+
+    A move is accepted when every new segment is causal and future-directed and
+    the value gains more than 1e-15, so the value is always a certified lower bound.
     """
     nodes = np.array(nodes, dtype=float)
     L = len(nodes)
     seg = _polyline_segment_values(model, nodes, nsub)
 
-    def chord_span(i, j):
-        frac = (nodes[i:j + 1, 0] - nodes[i, 0]) / max(nodes[j, 0] - nodes[i, 0], 1e-300)
-        straight = nodes[i] + frac[:, None] * (nodes[j] - nodes[i])
-        if not _chord_admissible(model, nodes[i], nodes[j], nsub=nsub):
-            return False
-        new_vals = _segment_values(model, straight[:-1], straight[1:], nsub=nsub)
-        if np.sum(new_vals) > np.sum(seg[i:j]) + 1e-15:
-            nodes[i:j + 1] = straight
-            seg[i:j] = new_vals
-            return True
-        return False
-
     span = L - 1
     while span >= 2:
         step = max(1, span // 2)
-        for i in range(0, L - span, step):
-            chord_span(i, i + span)
+        starts = np.arange(0, L - span, step)
+        stride = -(-span // step)  # chords stride * step apart share no segment
+        for first in range(min(stride, len(starts))):
+            _replace_chords(model, nodes, seg, starts[first::stride], span, nsub)
         span //= 2
 
     if model.dimension == 2:
@@ -673,30 +699,54 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
         u, dirs = _plane_frame(nodes[0], nodes[-1])
         directions = [np.concatenate([[0.0], d]) for d in dirs]
 
+    colours = [np.arange(first, L - 1, 2) for first in (1, 2)]
     for _ in range(passes):
         improved = False
-        for k in range(1, L - 1):
+        for ks in colours:
+            if len(ks) == 0:
+                continue
             for d in directions:
                 for step in (hx, 0.25 * hx):
                     for sign in (1.0, -1.0):
-                        cand = nodes[k] + sign * step * d
-                        pair_a = np.stack([nodes[k - 1], cand])
-                        pair_b = np.stack([cand, nodes[k + 1]])
-                        va, ok_a = _segment_values(model, pair_a[:1], pair_a[1:], nsub=nsub,
-                                                   need_mask=True)
-                        vb, ok_b = _segment_values(model, pair_b[:1], pair_b[1:], nsub=nsub,
-                                                   need_mask=True)
-                        if not (ok_a[0] and ok_b[0]):
-                            continue
-                        if va[0] + vb[0] > seg[k - 1] + seg[k] + 1e-15:
-                            nodes[k] = cand
-                            seg[k - 1] = va[0]
-                            seg[k] = vb[0]
-                            improved = True
+                        improved |= _move_nodes(model, nodes, seg, ks, sign * step * d, nsub)
         if not improved:
             break
 
     return float(np.sum(seg)), nodes
+
+
+def _replace_chords(model, nodes, seg, starts, span, nsub) -> None:
+    """Try the chords [i, i + span] for segment-disjoint starts i, in place."""
+    _, ok = _segment_values(model, nodes[starts], nodes[starts + span], nsub=nsub,
+                            need_mask=True)
+    starts = starts[ok]
+    if len(starts) == 0:
+        return
+    idx = starts[:, None] + np.arange(span + 1)
+    a, b = nodes[starts], nodes[starts + span]
+    frac = (nodes[idx, 0] - a[:, :1]) / np.maximum(b[:, :1] - a[:, :1], 1e-300)
+    straight = a[:, None, :] + frac[..., None] * (b - a)[:, None, :]
+    straight[:, -1] = b  # a + 1 * (b - a) can miss b by an ulp
+    new_vals = _segment_values(model, straight[:, :-1], straight[:, 1:], nsub=nsub)
+    better = np.sum(new_vals, axis=-1) > np.sum(seg[idx[:, :-1]], axis=-1) + 1e-15
+    nodes[idx[better, 1:-1]] = straight[better, 1:-1]
+    seg[idx[better, :-1]] = new_vals[better]
+
+
+def _move_nodes(model, nodes, seg, ks, shift, nsub) -> bool:
+    """Shift the nodes ks (no two adjacent) by `shift` where that gains; in place."""
+    n = len(ks)
+    cand = nodes[ks] + shift
+    vals, ok = _segment_values(model, np.concatenate([nodes[ks - 1], cand]),
+                               np.concatenate([cand, nodes[ks + 1]]),
+                               nsub=nsub, need_mask=True)
+    va, vb = vals[:n], vals[n:]
+    better = ok[:n] & ok[n:] & (va + vb > seg[ks - 1] + seg[ks] + 1e-15)
+    moved = ks[better]
+    nodes[moved] = cand[better]
+    seg[moved - 1] = va[better]
+    seg[moved] = vb[better]
+    return bool(np.any(better))
 
 
 def _polyline_to_curve(nodes: np.ndarray, subdivide: int = 4) -> CausalCurve:

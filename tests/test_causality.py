@@ -196,6 +196,20 @@ def test_dp_cone_tracks_closed_on_flat_weight():
     assert not np.any(got.reachable & ~ref.reachable)
 
 
+def test_dp_cone_off_lattice_source_stays_below_closed_form():
+    # the nearest lattice node of a target can lie later than the target (this
+    # source overshot by 9.7e-3); the surface must read a node in its past instead
+    m = flat2(box=[[-5, 5], [-5, 5]])
+    axes = (np.linspace(-5, 5, 201), np.linspace(-5, 5, 201))
+    state = ((-4.7158, -0.5439), 0.49)
+    ref = future_cone(state, m, grid=axes, method="closed", validate=0)
+    got = future_cone(state, m, grid=axes, method="dp")
+    assert np.array_equal(got.reachable, ref.reachable)
+    excess = got.phi_max[got.reachable] - ref.phi_max[ref.reachable]
+    assert excess.max() <= 1e-9
+    assert excess.min() >= -2e-3
+
+
 def test_cone_surface_rejections():
     with pytest.raises(ValueError):
         future_cone(((0.0, 0.0), 0.5), diag2())

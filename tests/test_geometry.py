@@ -1,8 +1,11 @@
 """Space-time models, causal curves, and the weighted proper-time maximizer."""
 
+import os
+
 import numpy as np
 import pytest
 
+from twosheet import geometry, modelfile
 from twosheet.geometry import (
     CausalCurve,
     DomainError,
@@ -17,7 +20,11 @@ from twosheet.geometry import (
     straight_curve,
     validate_curve,
     weighted_length,
+    _build_lattice,
+    _segment_values,
 )
+
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
 def flat2(mass=1.0, box=5.0):
@@ -255,6 +262,60 @@ def test_single_source_field_path_extraction():
     np.testing.assert_allclose(path[0], [0.0, 0.0], atol=1e-12)
     assert abs(path[-1][0] - 2.0) < 1e-9
     assert np.all(np.diff(path[:, 0]) > 0)
+
+
+# every shipped model with an inter-sheet weight, with its chord speed: a
+# coordinate speed below the slowest local light speed over the box
+REFINE_MODELS = [("cone2d", 0.6), ("conformal2d", 0.6), ("flat2d", 0.6),
+                 ("flat4d", 0.6), ("scalar2d", 0.6), ("vielbein4d", 0.45)]
+
+
+@pytest.mark.parametrize("name,speed", REFINE_MODELS)
+def test_refined_polyline_invariants(name, speed):
+    m = modelfile.load(os.path.join(MODELS, f"{name}.json"))
+    nsub = int(m.resolutions["quadrature"])
+    box = m.domain_box
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        p = box[:, 0] + rng.uniform(0.1, 0.4, m.dimension) * (box[:, 1] - box[:, 0])
+        dt = rng.uniform(0.4, 0.9) * (box[0, 1] - p[0])
+        u = rng.normal(size=m.dimension - 1)
+        q = np.concatenate([[p[0] + dt], p[1:] + speed * dt * u / np.linalg.norm(u)])
+        q[1:] = np.clip(q[1:], box[1:, 0], box[1:, 1])
+
+        val, curve = max_weighted_length(p, q, m, method="dp", return_curve=True)
+        unrefined = max_weighted_length(p, q, m, method="dp", refine=False)
+        # the curve resamples each polyline segment at 4 points
+        nodes = curve.points[::4]
+        vals, ok = _segment_values(m, nodes[:-1], nodes[1:], nsub=nsub, need_mask=True)
+        assert ok.all()
+        assert val == pytest.approx(np.sum(vals), abs=1e-12)
+        assert val >= unrefined
+        if name == "flat2d":
+            assert val <= max_weighted_length(p, q, m, method="closed") + 1e-9
+
+
+@pytest.mark.parametrize("block", [geometry.LATTICE_BLOCK_SEGMENTS, 50])
+def test_lattice_reaches_the_discrete_cone_below_the_closed_form(block, monkeypatch):
+    monkeypatch.setattr(geometry, "LATTICE_BLOCK_SEGMENTS", block)
+    m = flat2()
+    p = np.array([-1.0, 0.25])
+    # the off-axis target narrows the columns to hx = ht / 2, so each row offers
+    # five shifts; dyadic coordinates keep the null edges exactly null, so no
+    # rounding lifts a cone-boundary node above the closed form
+    lat = _build_lattice(m, p, 1.0, -2.25, 2.75, nt=33, target_columns=161,
+                         target_sigma=0.75)
+    ht = lat.ts[1] - lat.ts[0]
+    hx = lat.sigmas[1] - lat.sigmas[0]
+    smax = int(np.floor(ht / hx + 1e-12))
+    assert smax == 2
+    i, j = np.meshgrid(np.arange(len(lat.ts)), np.arange(len(lat.sigmas)), indexing="ij")
+    j0 = int(np.argmin(np.abs(lat.sigmas)))
+    finite = np.isfinite(lat.value)
+    assert np.array_equal(finite, np.abs(j - j0) <= smax * i)
+    dt = lat.ts[:, None] - p[0]
+    closed = np.sqrt(np.clip(dt ** 2 - lat.sigmas[None, :] ** 2, 0.0, None))
+    assert np.all(lat.value[finite] <= closed[finite] + 1e-12)
 
 
 def test_4d_closed_form():

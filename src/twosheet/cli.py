@@ -337,10 +337,7 @@ def _cmd_oracle(args) -> int:
         q = rng.uniform(box[:, 0], box[:, 1])
         xi, phi = rng.uniform(0.0, 1.0, 2)
         s1, s2 = MixedState(p, xi), MixedState(q, phi)
-        if model.mass_kind == "diagonal":
-            decision = diagonal_mass_decide(s1, s2, model)
-        else:
-            decision = decide(s1, s2, model)
+        decision = decide(s1, s2, model)
         verdict = mc_check(s1, s2, elements, decision, model=model)
         kinds[verdict.kind] += 1
         related_count += int(decision.related)

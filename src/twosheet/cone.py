@@ -60,6 +60,8 @@ __all__ = [
 
 PSD_TOL = 1e-9          # smallest-eigenvalue tolerance (witness matrices are singular)
 HERMITIAN_TOL = 1e-12
+# index sets of the two invariant 4x4 blocks of the 4D (8x8) obstruction matrix
+OBSTRUCTION_BLOCKS_4D = ((0, 1, 6, 7), (2, 3, 4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +378,8 @@ def pointwise_min_eigenvalues(pair: CausalElementPair, points, model: SpacetimeM
         e2 = 0.5 * (am + bp) - np.sqrt(0.25 * (am - bp) ** 2 + z2)
         return np.minimum(e1, e2)
     M = obstruction_matrices(pair, pts, model, rep)
-    idx1 = np.ix_([0, 1, 6, 7], [0, 1, 6, 7])
-    idx2 = np.ix_([2, 3, 4, 5], [2, 3, 4, 5])
-    e1 = np.linalg.eigvalsh(M[(..., *idx1)])[..., 0]
-    e2 = np.linalg.eigvalsh(M[(..., *idx2)])[..., 0]
+    e1, e2 = (np.linalg.eigvalsh(M[(..., *np.ix_(blk, blk))])[..., 0]
+              for blk in OBSTRUCTION_BLOCKS_4D)
     return np.minimum(e1, e2)
 
 

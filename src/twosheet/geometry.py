@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .expressions import Expression, parse_expression
 
@@ -392,6 +391,10 @@ def weighted_length(curve: CausalCurve, model: SpacetimeModel, upto: Optional[fl
     if not np.all(future):
         idx = int(np.argmin(future))
         raise InvalidCurveError(f"tangent is not future-directed at sample {idx}")
+    # scipy.integrate is imported here, not at module level: it dominates the
+    # package's start-up, and only the two quadrature routines need it
+    from scipy.integrate import cumulative_simpson, simpson
+
     integrand = model.weight(curve.points) * np.sqrt(np.clip(-eta, 0.0, None))
     if upto is None:
         return float(simpson(integrand, x=curve.ts))
@@ -409,6 +412,8 @@ def cumulative_weighted_length(curve: CausalCurve, model: SpacetimeModel) -> np.
         raise InvalidCurveError("curve must be future-directed and causal")
     integrand = model.weight(curve.points) * np.sqrt(np.clip(-eta, 0.0, None))
     if curve.ts.shape[0] >= 3:
+        from scipy.integrate import cumulative_simpson
+
         return np.asarray(cumulative_simpson(integrand, x=curve.ts, initial=0.0))
     mids = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(curve.ts)
     return np.concatenate([[0.0], np.cumsum(mids)])

@@ -2,9 +2,10 @@
 
 The decision procedure says two states are related; the definition says every cone
 element must then be non-decreasing between them.  This module samples random cone
-elements (a global time function plus Gaussian-windowed cosine bumps, shrunk until
-the obstruction matrix certifies PSD on a grid) and evaluates the defining
-inequality directly, hunting for contradictions the main code path cannot see.
+elements (a global time function plus Gaussian-windowed cosine bumps, scaled by the
+largest shrink that keeps the obstruction matrix PSD on a grid, solved in closed form
+per grid point) and evaluates the defining inequality directly, hunting for
+contradictions the main code path cannot see.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from .clifford import SpinRepresentation, make_representation
 from .cone import (
+    OBSTRUCTION_BLOCKS_4D,
     CausalElementPair,
     FunctionField,
     certification_grid,
-    obstruction_matrices,
     ordering_gap,
     witness_element,
 )
@@ -46,7 +47,8 @@ log = logging.getLogger(__name__)
 SHRINK_FLOOR = 1e-6     # below this the perturbation is numerically dead: discard
 SAFETY_FACTOR = 0.9     # headroom so refined grids still certify
 NEGATIVE_TOL = 1e-9     # ordering values below this contradict a related decision
-BISECT_ITERS = 20
+MAX_BUMPS = 4           # a draw has 2 to MAX_BUMPS bumps
+CERTIFY_BLOCK_POINTS = 8192  # grid points per 4D block batch; bounds certification memory
 
 
 def thread_count(jobs: int) -> int:
@@ -112,15 +114,19 @@ def _combination_field(construction: Dict[str, np.ndarray], which: str) -> Funct
 
 
 # ---------------------------------------------------------------------------
-# shrink bisection on the affine family M(s) = M_time + s * M_bumps
+# exact shrink on the affine family M(s) = M_time + s * M_bumps
 
 
 class _GridContext:
-    """Element-independent data on the certification grid, computed once."""
+    """Element-independent data on the certification grid, computed once.
+
+    The obstruction matrix is linear in the frame gradients (fa, fb) and the coupling
+    z, so one assembler builds the time function's blocks (fa = fb = fT, z = 0), a
+    draw's bump blocks, and their sum at any shrink.
+    """
 
     def __init__(self, model: SpacetimeModel, rep: SpinRepresentation, grid: np.ndarray):
         self.model = model
-        self.rep = rep
         self.grid = grid
         self.mass = model.mass_at(grid)
         self.omega = model.omega(grid) if model.metric_kind == "conformal2d" else None
@@ -135,24 +141,14 @@ class _GridContext:
             fT[:, 0] = self.omega
         else:
             fT = self.frames[..., 0]
-        base_floor = float(np.min(fT[:, 0] - np.linalg.norm(fT[:, 1:], axis=-1)))
-        if base_floor < 0.0:
+        if np.min(fT[:, 0] - np.linalg.norm(fT[:, 1:], axis=-1)) <= 0.0:
+            # the exact shrink factors the time function's blocks, so they must be
+            # positive definite: a null slicing is as unusable as a spacelike one
             raise ValueError("the coordinate time function is not causal for this model; "
                              "oracle sampling needs a causal time slicing")
-        self.base_floor = base_floor
-
-        if model.dimension == 2:
-            ap = fT[:, 0] + fT[:, 1]
-            am = fT[:, 0] - fT[:, 1]
-            # a = b = T: both sheets share fT and the coupling vanishes
-            self.base2 = (ap + am, ap - am, am + ap, am - ap)  # u1, d1, u2, d2
-        else:
-            Vs = np.stack(rep.v_ops.vs)
-            TL = np.einsum("pa,aij->pij", fT, Vs)
-            M = np.zeros((len(grid), 8, 8), dtype=complex)
-            M[:, :4, :4] = TL
-            M[:, 4:, 4:] = TL
-            self.base4 = tuple(M[(np.s_[:], *blk)] for blk in _BLOCKS_4D)
+        self.fT = fT
+        if model.dimension == 4:
+            self.generators = _block_generators(rep)
 
     def frame_gradients(self, ga: np.ndarray, gb: np.ndarray):
         if self.model.metric_kind == "minkowski":
@@ -162,71 +158,115 @@ class _GridContext:
         return (np.einsum("pam,pm->pa", self.frames, ga),
                 np.einsum("pam,pm->pa", self.frames, gb))
 
+    def perturbation(self, c: Dict[str, np.ndarray]):
+        """Frame gradients (fa, fb) and coupling z of a draw's bumps on the grid."""
+        V, Gr = _bump_basis(self.grid, c["centers"], c["widths"], c["waves"], c["phases"])
+        fa, fb = self.frame_gradients(np.einsum("pbk,b->pk", Gr, c["amp_a"]),
+                                      np.einsum("pbk,b->pk", Gr, c["amp_b"]))
+        return fa, fb, self.mass * (V @ c["amp_a"] - V @ c["amp_b"])
 
-_BLOCKS_4D = (np.ix_([0, 1, 6, 7], [0, 1, 6, 7]), np.ix_([2, 3, 4, 5], [2, 3, 4, 5]))
+    def largest_shrink(self, pert) -> float:
+        """Largest s in [0, 1] keeping every grid block of T + s * bumps PSD."""
+        rate = (_failure_rate_2d if self.model.dimension == 2 else _failure_rate_4d)(
+            self, *pert)
+        return 1.0 / max(1.0, rate)
 
-
-def _pert_data_2d(ctx: _GridContext, c: Dict[str, np.ndarray]):
-    V, Gr = _bump_basis(ctx.grid, c["centers"], c["widths"], c["waves"], c["phases"])
-    va = V @ c["amp_a"]
-    vb = V @ c["amp_b"]
-    fa, fb = ctx.frame_gradients(np.einsum("pbk,b->pk", Gr, c["amp_a"]),
-                                 np.einsum("pbk,b->pk", Gr, c["amp_b"]))
-    ap = fa[:, 0] + fa[:, 1]
-    am = fa[:, 0] - fa[:, 1]
-    bp = fb[:, 0] + fb[:, 1]
-    bm = fb[:, 0] - fb[:, 1]
-    z2 = np.abs(ctx.mass * (va - vb)) ** 2
-    return (ap + bm, ap - bm, am + bp, am - bp, z2)
-
-
-def _min_eig_2d(ctx: _GridContext, pert, s: float) -> float:
-    u1, d1, u2, d2 = ctx.base2
-    u1P, d1P, u2P, d2P, z2 = pert
-    s2z = (s * s) * z2
-    e1 = 0.5 * (u1 + s * u1P) - np.sqrt(0.25 * (d1 + s * d1P) ** 2 + s2z)
-    e2 = 0.5 * (u2 + s * u2P) - np.sqrt(0.25 * (d2 + s * d2P) ** 2 + s2z)
-    return float(min(e1.min(), e2.min()))
-
-
-def _pert_data_4d(ctx: _GridContext, c: Dict[str, np.ndarray]):
-    V, Gr = _bump_basis(ctx.grid, c["centers"], c["widths"], c["waves"], c["phases"])
-    va = V @ c["amp_a"]
-    vb = V @ c["amp_b"]
-    fa, fb = ctx.frame_gradients(np.einsum("pbk,b->pk", Gr, c["amp_a"]),
-                                 np.einsum("pbk,b->pk", Gr, c["amp_b"]))
-    Vs = np.stack(ctx.rep.v_ops.vs)
-    M = np.zeros((len(ctx.grid), 8, 8), dtype=complex)
-    M[:, :4, :4] = np.einsum("pa,aij->pij", fa, Vs)
-    M[:, 4:, 4:] = np.einsum("pa,aij->pij", fb, Vs)
-    z = ctx.mass * (va - vb)
-    M[:, :4, 4:] = -ctx.rep.v_ops.iV * z[:, None, None]
-    M[:, 4:, :4] = ctx.rep.v_ops.iV * np.conj(z)[:, None, None]
-    return tuple(M[(np.s_[:], *blk)] for blk in _BLOCKS_4D)
+    def min_eigenvalue(self, pert, s: float) -> float:
+        """Grid minimum of the smallest obstruction eigenvalue of T + s * bumps."""
+        fa, fb, z = pert
+        fa = self.fT + s * fa
+        fb = self.fT + s * fb
+        z = s * z
+        if self.model.dimension == 2:
+            return float(min(np.min(_min_eig_2x2(*blk)) for blk in _blocks_2d(fa, fb, z)))
+        return min(float(np.linalg.eigvalsh(
+            _blocks_4d(self.generators, fa[sl], fb[sl], z[sl]))[..., 0].min())
+            for sl in _point_blocks(len(self.grid)))
 
 
-def _min_eig_4d(ctx: _GridContext, pert, s: float) -> float:
-    return float(min(np.linalg.eigvalsh(b + s * p)[..., 0].min()
-                     for b, p in zip(ctx.base4, pert)))
+def _blocks_2d(fa: np.ndarray, fb: np.ndarray, z: np.ndarray):
+    """The two invariant 2x2 blocks as (diagonal x, diagonal y, |coupling|^2)."""
+    z2 = np.abs(z) ** 2
+    return ((fa[:, 0] + fa[:, 1], fb[:, 0] - fb[:, 1], z2),
+            (fa[:, 0] - fa[:, 1], fb[:, 0] + fb[:, 1], z2))
 
 
-def _largest_admissible_shrink(min_eig, iters: int = BISECT_ITERS) -> float:
-    """Largest s in [0, 1] keeping the grid min eigenvalue >= 0.
+def _min_eig_2x2(x: np.ndarray, y: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + y) - np.sqrt(0.25 * (x - y) ** 2 + z2)
 
-    The smallest eigenvalue of an affine Hermitian family is concave in s, and so is
-    its minimum over grid points; the admissible set is an interval containing s = 0,
-    so bisection against its right edge is exact.
+
+def _failure_rate_2d(ctx: _GridContext, fa, fb, z) -> float:
+    """Largest 1/s at which a 2x2 block of T + s * bumps stops being PSD.
+
+    A block [[x, w], [w*, y]] is PSD iff its trace and determinant are >= 0.  The
+    time function's block has x0, y0 > 0 and no coupling, so with t = 1/s the
+    determinant is t^-2 (c0 t^2 + c1 t + c2), c0 = x0 y0 > 0, and it first vanishes at
+    the largest root t+ of that quadratic; the trace vanishes at t = -trP / tr0.
+    Both are maximized over points; the trace root only matters where both
+    eigenvalues cross zero together (a double root of the determinant).
     """
-    if min_eig(1.0) >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    rate = 0.0
+    base = _blocks_2d(ctx.fT, ctx.fT, np.zeros(len(ctx.grid)))
+    for (x0, y0, _), (xP, yP, z2) in zip(base, _blocks_2d(fa, fb, z)):
+        c0 = x0 * y0
+        c1 = x0 * yP + xP * y0
+        c2 = xP * yP - z2
+        disc = c1 * c1 - 4.0 * c0 * c2
+        root = np.sqrt(np.maximum(disc, 0.0))
+        # cancellation-safe largest root: the citardauq form where c1 > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_plus = np.where(c1 <= 0.0, (root - c1) / (2.0 * c0), -2.0 * c2 / (c1 + root))
+        t_plus = np.where(disc >= 0.0, t_plus, 0.0)
+        rate = max(rate, float(np.max(t_plus)), float(np.max(-(xP + yP) / (x0 + y0))))
+    return rate
+
+
+def _block_generators(rep: SpinRepresentation) -> np.ndarray:
+    """Constant matrices G with block = sum_c coef_c G_c, coef = (fa, fb, z, conj z).
+
+    Shape (2n + 2, blocks, 4, 4): the V^a of each sheet and the -iV / iV couplings,
+    restricted to the invariant index sets of cone.OBSTRUCTION_BLOCKS_4D.
+    """
+    n, k = rep.dimension, rep.spinor_size
+    full = np.zeros((2 * n + 2, 2 * k, 2 * k), dtype=complex)
+    for a, Va in enumerate(rep.v_ops.vs):
+        full[a, :k, :k] = Va
+        full[n + a, k:, k:] = Va
+    full[2 * n, :k, k:] = -rep.v_ops.iV
+    full[2 * n + 1, k:, :k] = rep.v_ops.iV
+    return np.stack([full[(np.s_[:], *np.ix_(blk, blk))] for blk in OBSTRUCTION_BLOCKS_4D],
+                    axis=1)
+
+
+def _blocks_4d(generators: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+               z: np.ndarray) -> np.ndarray:
+    """The invariant 4x4 obstruction blocks, shape (N, blocks, 4, 4), by one product."""
+    coef = np.concatenate([fa, fb, z[:, None], np.conj(z)[:, None]], axis=1)
+    flat = coef @ generators.reshape(len(generators), -1)
+    return flat.reshape((len(fa),) + generators.shape[1:])
+
+
+def _point_blocks(count: int):
+    return (slice(i, min(i + CERTIFY_BLOCK_POINTS, count))
+            for i in range(0, count, CERTIFY_BLOCK_POINTS))
+
+
+def _failure_rate_4d(ctx: _GridContext, fa, fb, z) -> float:
+    """Largest 1/s at which a 4x4 block of T + s * bumps stops being PSD.
+
+    With the time function's block B = L L^H positive definite, B + s P is PSD iff
+    I + s C is, C = L^-1 P L^-H (the symmetric-definite pencil); that fails first at
+    s = -1 / lambda_min(C).
+    """
+    gens = ctx.generators
+    rate = 0.0
+    for sl in _point_blocks(len(ctx.grid)):
+        fT = ctx.fT[sl]
+        L = np.linalg.cholesky(_blocks_4d(gens, fT, fT, np.zeros(len(fT))))
+        X = np.linalg.solve(L, _blocks_4d(gens, fa[sl], fb[sl], z[sl]))  # L^-1 P
+        C = np.linalg.solve(L, np.conj(np.swapaxes(X, -1, -2)))        # L^-1 P L^-H
+        rate = max(rate, -float(np.linalg.eigvalsh(C)[..., 0].min()))
+    return rate
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +279,7 @@ def _draw_construction(rng: np.random.Generator, model: SpacetimeModel,
     lo = model.domain_box[:, 0]
     hi = model.domain_box[:, 1]
     extents = hi - lo
-    nb = int(rng.integers(2, 5))
+    nb = int(rng.integers(2, MAX_BUMPS + 1))
     return {
         "centers": rng.uniform(lo, hi, size=(nb, n)),
         "widths": rng.uniform(0.1, 0.5, size=(nb, n)) * extents,
@@ -256,21 +296,15 @@ def _build_element(index: int, seed: int, ctx: _GridContext,
     c = _draw_construction(rng, ctx.model, amplitude)
     trivial = not (np.any(c["amp_a"]) or np.any(c["amp_b"]))
 
-    if ctx.model.dimension == 2:
-        pert = _pert_data_2d(ctx, c)
-        min_eig = lambda s: _min_eig_2d(ctx, pert, s)
-    else:
-        pert = _pert_data_4d(ctx, c)
-        min_eig = lambda s: _min_eig_4d(ctx, pert, s)
-
-    s_star = _largest_admissible_shrink(min_eig)
+    pert = ctx.perturbation(c)
+    s_star = ctx.largest_shrink(pert)
     s_final = s_star if trivial else SAFETY_FACTOR * s_star
     if not trivial and s_final < SHRINK_FLOOR:
         log.info("discarding element %d: shrink underflow (s* = %.3e)", index, s_star)
         return None
 
-    final_eig = min_eig(s_final)
-    if final_eig < -NEGATIVE_TOL:  # cannot happen given concavity; guard anyway
+    final_eig = ctx.min_eigenvalue(pert, s_final)
+    if final_eig < -NEGATIVE_TOL:  # the closed form only proposes s; this certifies it
         log.info("discarding element %d: certification failed after shrink "
                  "(min eig %.3e)", index, final_eig)
         return None
@@ -290,10 +324,14 @@ def sample_causal_elements(model: SpacetimeModel, count: int, seed: int, *,
                            amplitude: float = 1.0) -> List[SampledElement]:
     """Draw `count` random certified cone elements, deterministically per seed.
 
-    Each element is T + bumps on both sheets with one scalar shrink bisected until
-    the obstruction matrix is PSD on the certification grid (the shrink only ever
-    reduces amplitudes, never grows them).  Elements whose shrink underflows are
-    discarded with a log entry; more than 50% discards aborts.
+    Each element is T + s * bumps on both sheets.  The obstruction matrix is affine
+    in s, so the largest s in [0, 1] keeping it PSD on the certification grid is
+    solved exactly per point (a quadratic in 2D, a Cholesky-whitened pencil in 4D);
+    the element keeps SAFETY_FACTOR times it, and an eigenvalue sweep of the final
+    element on the grid certifies it.  The shrink only ever reduces amplitudes,
+    never grows them.  Elements whose shrink underflows are discarded with a log
+    entry; more than 50% discards aborts.  The time function must be timelike on
+    the grid (ValueError otherwise).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -345,17 +383,44 @@ class OracleVerdict:
         return self.kind != "contradiction"
 
 
+def _packed_bumps(elements: Sequence[SampledElement], dimension: int):
+    """Bump parameters of every element, padded to MAX_BUMPS slots.
+
+    A padded slot has zero amplitude and unit width, so it adds exact zeros.
+    """
+    cons = [el.construction for el in elements]
+    counts = np.array([len(c["phases"]) for c in cons], dtype=int)
+    # (element, slot) of every real bump, in construction order
+    rows = np.repeat(np.arange(len(cons)), counts)
+    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    def scatter(key, fill, shape=()):
+        out = np.full((len(cons), MAX_BUMPS) + shape, fill)
+        out[rows, slots] = np.concatenate([c[key] for c in cons])
+        return out
+
+    shrink = np.repeat([c["shrink"] for c in cons], counts)
+    coef = np.zeros((2, len(cons), MAX_BUMPS))
+    for side, which in enumerate(("amp_a", "amp_b")):
+        coef[side, rows, slots] = shrink * np.concatenate([c[which] for c in cons])
+    return (scatter("centers", 0.0, (dimension,)), scatter("widths", 1.0, (dimension,)),
+            scatter("waves", 0.0, (dimension,)), scatter("phases", 0.0), coef)
+
+
 def _element_values(elements: Sequence[SampledElement], s1: MixedState,
                     s2: MixedState) -> np.ndarray:
-    """Ordering functional of every element, grouped sheet-wise for exact zeros."""
+    """Ordering functional of every element in one contraction, grouped sheet-wise
+    so that identical states give exact zeros."""
     pq = np.stack([np.asarray(s1.point, dtype=float), np.asarray(s2.point, dtype=float)])
     xi, phi = float(s1.xi), float(s2.xi)
-    out = np.empty(len(elements))
-    for k, el in enumerate(elements):
-        av = el.pair.a.value(pq)
-        bv = el.pair.b.value(pq)
-        out[k] = (phi * av[1] - xi * av[0]) + ((1.0 - phi) * bv[1] - (1.0 - xi) * bv[0])
-    return out
+    if not elements:
+        return np.empty(0)
+    centers, widths, waves, phases, coef = _packed_bumps(elements, pq.shape[1])
+    d = pq[None, :, None, :] - centers[:, None, :, :]             # (K, 2, bumps, n)
+    window = np.exp(-np.sum((d / widths[:, None]) ** 2, axis=-1))
+    wc = window * np.cos(np.einsum("kpbn,kbn->kpb", d, waves) + phases[:, None, :])
+    av, bv = (pq[:, 0] + np.einsum("kpb,kb->kp", wc, c) for c in coef)
+    return (phi * av[:, 1] - xi * av[:, 0]) + ((1.0 - phi) * bv[:, 1] - (1.0 - xi) * bv[:, 0])
 
 
 def mc_check(state1, state2, elements: Sequence[SampledElement],

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, formats, and determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from twosheet.cli import main
+
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 FLAT = """{
   "dimension": 2,
@@ -232,3 +235,30 @@ def test_selftest_passes(capsys):
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1 and err != ""
+
+
+NULL_SLICING = """{
+  "dimension": 4,
+  "metric": {"kind": "vielbein4d",
+             "frame": [["1", "0", "0", "0"], ["1", "1", "0", "0"],
+                       ["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+  "mass": {"kind": "constant", "re": 1.0, "im": 0.0},
+  "domain": {"box": [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]}
+}"""
+
+
+def test_oracle_null_time_slicing_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "null.json"
+    path.write_text(NULL_SLICING)
+    code, out, err = run(capsys, "oracle", "--model", str(path), "--pairs", "1",
+                         "--elements", "4", "--seed", "1")
+    assert code == 1 and out == ""
+    assert "causal time slicing" in err
+
+
+def test_oracle_refuses_diagonal_models(capsys):
+    path = os.path.join(MODELS, "diagonal2d.json")
+    code, out, err = run(capsys, "oracle", "--model", path, "--pairs", "1",
+                         "--elements", "4", "--seed", "1")
+    assert code == 1 and out == ""
+    assert "diagonal models have a decoupled cone" in err

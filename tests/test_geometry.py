@@ -1,6 +1,8 @@
 """Space-time models, causal curves, and the weighted proper-time maximizer."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,22 @@ def flat4(mass=1.0, box=3.0):
 
 # ---------------------------------------------------------------------------
 # models
+
+
+def test_import_and_dp_decide_do_not_load_scipy():
+    # scipy.integrate serves only the Simpson quadrature; it must not load at start-up
+    code = (
+        "import sys, twosheet\n"
+        "m = twosheet.load(sys.argv[1])\n"
+        "d = twosheet.decide(((0.8, -0.5), 0.2), ((3.2, 0.4), 0.7), m, method='dp')\n"
+        "assert d.method == 'dp' and d.related, d\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c", code, os.path.join(MODELS, "scalar2d.json")],
+                   env=env, check=True)
 
 
 def test_minkowski_defaults():

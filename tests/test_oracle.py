@@ -1,17 +1,25 @@
 """Random certified cone elements and the Monte-Carlo consistency check."""
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from twosheet import modelfile, oracle
 from twosheet.causality import decide
 from twosheet.clifford import make_representation
-from twosheet.cone import certification_grid, is_causal_element, pointwise_min_eigenvalues
+from twosheet.cone import (
+    certification_grid,
+    is_causal_element,
+    ordering_gap,
+    pointwise_min_eigenvalues,
+)
 from twosheet.geometry import MixedState, SpacetimeModel
 from twosheet.oracle import mc_check, sample_causal_elements, thread_count
 
 REP2 = make_representation(2)
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +90,15 @@ def test_sampling_rejections(model):
         sample_causal_elements(diag, 3, 1)
 
 
+def test_sampling_rejects_a_null_time_slicing():
+    # frame rows make dT = (1, 1, 0, 0): the time function is null, not timelike
+    m = SpacetimeModel.with_vielbein(
+        [["1", "0", "0", "0"], ["1", "1", "0", "0"], ["0", "0", "1", "0"],
+         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4)
+    with pytest.raises(ValueError, match="causal time slicing"):
+        sample_causal_elements(m, 4, 1, grid=certification_grid(m, per_axis=5))
+
+
 def test_4d_sampling_certifies_on_its_grid():
     m4 = SpacetimeModel.minkowski(4, mass=1.0, box=[[-1.5, 1.5]] * 4)
     grid = certification_grid(m4, per_axis=7)
@@ -90,6 +107,53 @@ def test_4d_sampling_certifies_on_its_grid():
     for el in els:
         assert pointwise_min_eigenvalues(el.pair, el.certified_grid, m4,
                                          rep4).min() >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# exact shrink against a bisection reference
+
+
+def _bisected_shrink(min_eig, iters=20):
+    """Largest dyadic s in [0, 1] with min_eig(s) >= 0, by plain bisection."""
+    if min_eig(1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if min_eig(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("name,per_axis,count", [
+    ("flat2d", None, 6), ("conformal2d", None, 6), ("scalar2d", None, 6),
+    ("flat4d", 7, 2), ("vielbein4d", 7, 2)])
+def test_shrink_is_the_exact_root(name, per_axis, count):
+    m = modelfile.load(os.path.join(MODELS, f"{name}.json"))
+    rep = make_representation(m.dimension)
+    grid = certification_grid(m, per_axis=per_axis)
+    els = sample_causal_elements(m, count, 31, grid=grid)
+    assert len(els) == count
+    for el in els:
+        c = dict(el.construction)
+        s_exact = c["shrink"] / oracle.SAFETY_FACTOR
+
+        def min_eig(s):
+            # independent route: the element field at shrink s, through cone.py
+            c["shrink"] = s
+            pair = SimpleNamespace(a=oracle._combination_field(c, "amp_a"),
+                                   b=oracle._combination_field(c, "amp_b"))
+            return float(pointwise_min_eigenvalues(pair, grid, m, rep).min())
+
+        gap = s_exact - _bisected_shrink(min_eig)
+        assert 0.0 <= gap <= 2.0 ** -20 + 1e-12
+        if s_exact < 1.0:
+            scale = max(1.0, abs(min_eig(0.0)), abs(min_eig(1.0)))
+            assert abs(min_eig(s_exact)) <= 1e-9 * scale
+        assert min_eig(el.construction["shrink"]) >= -1e-9
+        assert el.min_eigenvalue >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +167,26 @@ def test_identical_states_evaluate_to_exact_zero(model, elements):
     assert verdict.kind == "consistent"
     assert verdict.min_value == 0.0
     assert verdict.checked == len(elements)
+
+
+def test_batched_values_match_the_ordering_gap(model):
+    els = sample_causal_elements(model, 40, 5)
+    assert {len(el.construction["phases"]) for el in els} == {2, 3, 4}
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        s1 = MixedState(rng.uniform(-2, 2, 2), float(rng.uniform()))
+        s2 = MixedState(rng.uniform(-2, 2, 2), float(rng.uniform()))
+        values = oracle._element_values(els, s1, s2)
+        expect = [ordering_gap(el.pair, s1, s2) for el in els]
+        np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12)
+
+
+def test_mc_check_without_elements(model):
+    s1, s2 = ((0.0, 0.0), 0.0), ((1.8, 0.1), 1.0)
+    verdict = mc_check(s1, s2, [], decide(s1, s2, model), model=model)
+    assert verdict.kind == "consistent"
+    assert verdict.min_value == 0.0 and verdict.min_element is None
+    assert verdict.checked == 0
 
 
 def test_related_pair_is_consistent(model, elements):

@@ -21,6 +21,7 @@ from .geometry import (
     DomainError,
     MixedState,
     SpacetimeModel,
+    _resolve_method,
     is_causally_related,
     max_weighted_length,
     single_source_field,
@@ -38,7 +39,6 @@ __all__ = [
     "decide",
     "future_cone",
     "fluctuate",
-    "diagonal_mass_decide",
 ]
 
 COMPARISON_TOL = 1e-9       # inclusive threshold comparison: float-noise slack only
@@ -101,24 +101,15 @@ def required_proper_time(xi: float, phi: float, model: SpacetimeModel) -> float:
     return gap / am
 
 
-def _resolve_method(model: SpacetimeModel, method: str) -> str:
-    if method not in ("auto", "closed", "dp"):
-        raise ValueError(f"unknown method {method!r}")
-    closed_available = model.metric_kind == "minkowski" and model.mass_kind == "constant"
-    if method == "auto":
-        return "closed" if closed_available else "dp"
-    if method == "closed" and not closed_available:
-        raise ValueError("closed form needs a flat metric with constant mass")
-    return method
-
-
 def decide(state1, state2, model: SpacetimeModel, *, method: str = "auto",
            tol: Optional[float] = None) -> CausalDecision:
     """Is state1 in the causal past of state2?
 
     related = base relation on the manifold AND achieved budget >= required budget
     (inclusive, within the method tolerance).  Null-separated points achieve 0, so
-    distinct internal coordinates across a null gap are never related.
+    distinct internal coordinates across a null gap are never related.  A diagonal
+    internal operator is decided exactly (related iff xi == phi and p precedes q);
+    method and tol are then unused.
     """
     s1 = _as_state(state1)
     s2 = _as_state(state2)
@@ -155,17 +146,6 @@ def _diagonal_decision(s1: MixedState, s2: MixedState, base: bool) -> CausalDeci
     return CausalDecision(related=related, base_related=base, required=required,
                           achieved=0.0, slack=-required if required > 0 else 0.0,
                           method="diagonal", marginal=False, band=0.0)
-
-
-def diagonal_mass_decide(state1, state2, model: SpacetimeModel) -> CausalDecision:
-    """Exact decision for a diagonal internal operator: related iff xi == phi and p precedes q."""
-    if model.mass_kind != "diagonal":
-        raise ValueError("model is not flagged diagonal")
-    s1 = _as_state(state1)
-    s2 = _as_state(state2)
-    model.require_in_domain(s1.point, s2.point)
-    base = is_causally_related(s1.point, s2.point, model)
-    return _diagonal_decision(s1, s2, base)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +222,7 @@ def _chord_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
 
 def _dp_cone_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
                     time_steps: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    if model.metric_kind == "vielbein4d":
+    if model.dimension != 2:
         raise NotImplementedError(
             "cone surfaces need a 1+1 lattice; evaluate decide per target in 4D")
     dt = pts[:, 0] - p[0]

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import modelfile
-from .causality import decide, diagonal_mass_decide, future_cone
+from .causality import decide, future_cone
 from .clifford import make_representation, verify_representation
 from .cone import (PSD_TOL, charpoly_certificate, obstruction_matrices,
                    solve_spinor_system, witness_certificate_2d,
@@ -199,11 +199,7 @@ def _cmd_decide(args) -> int:
     band = args.band
     if band is None:
         band = modelfile.model_tolerances(model).get("decision_band")
-    if model.mass_kind == "diagonal":
-        d = diagonal_mass_decide((args.p, args.xi), (args.q, args.phi), model)
-    else:
-        d = decide((args.p, args.xi), (args.q, args.phi), model,
-                   method=args.method, tol=band)
+    d = decide((args.p, args.xi), (args.q, args.phi), model, method=args.method, tol=band)
     doc = {
         "related": d.related,
         "base_related": d.base_related,

@@ -25,6 +25,7 @@ from .expressions import Expression, parse_expression
 from .geometry import (
     CausalCurve,
     InvalidCurveError,
+    MixedState,
     SpacetimeModel,
     cumulative_weighted_length,
 )
@@ -34,14 +35,12 @@ __all__ = [
     "ExpressionField",
     "FunctionField",
     "CausalElementPair",
-    "ObstructionMatrix",
     "PsdResult",
     "CertificateResult",
     "ConeMembership",
     "SpinorSolution",
     "SaturationResult",
     "WitnessPair",
-    "obstruction_matrix",
     "obstruction_matrices",
     "pointwise_min_eigenvalues",
     "is_psd",
@@ -122,16 +121,6 @@ class CausalElementPair:
                    description=description)
 
 
-@dataclass
-class ObstructionMatrix:
-    point: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
 def pair_field_data(pair: CausalElementPair, points: np.ndarray, model: SpacetimeModel):
     """Values, frame gradients, and mass coupling of a pair on a batch of points.
 
@@ -145,17 +134,65 @@ def pair_field_data(pair: CausalElementPair, points: np.ndarray, model: Spacetim
     gb = pair.b.gradient(pts)
     if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
         raise ValueError("pair has non-finite gradients on the requested points")
-    if model.metric_kind == "minkowski":
-        fa, fb = ga, gb
-    elif model.metric_kind == "conformal2d":
-        om = model.omega(pts)[..., None]
-        fa, fb = om * ga, om * gb
-    else:
-        E = model.frame_matrices(pts)
-        fa = np.einsum("...am,...m->...a", E, ga)
-        fb = np.einsum("...am,...m->...a", E, gb)
+    fa, fb = model.to_frame(pts, np.stack([ga, gb]))
     z = model.mass_at(pts) * (a - b)
     return a, b, fa, fb, z
+
+
+def _block_generators(rep: SpinRepresentation, blocks=None) -> np.ndarray:
+    """Constant matrices G_c with obstruction matrix = sum_c coef_c G_c.
+
+    coef = (fa, fb, z, conj z).  Shape (2n + 2, 2k, 2k): the V^a of each sheet and
+    the -iV / iV couplings.  With `blocks` (index sets such as
+    OBSTRUCTION_BLOCKS_4D), each G_c is restricted to those invariant blocks:
+    shape (2n + 2, len(blocks), b, b).
+    """
+    n, k = rep.dimension, rep.spinor_size
+    full = np.zeros((2 * n + 2, 2 * k, 2 * k), dtype=complex)
+    for a, Va in enumerate(rep.v_ops.vs):
+        full[a, :k, :k] = Va
+        full[n + a, k:, k:] = Va
+    full[2 * n, :k, k:] = -rep.v_ops.iV
+    full[2 * n + 1, k:, :k] = rep.v_ops.iV
+    if blocks is None:
+        return full
+    return np.stack([full[(np.s_[:], *np.ix_(blk, blk))] for blk in blocks], axis=1)
+
+
+def _assemble(generators: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
+    """Obstruction matrices (or blocks) at every point: one product with the generators.
+
+    Generator entries are 0, +-1 or +-i and each output entry sums at most two
+    nonzero terms, so the product is exact up to one rounding per entry.
+    """
+    coef = np.concatenate([fa, fb, z[..., None], np.conj(z)[..., None]], axis=-1)
+    flat = coef @ generators.reshape(len(generators), -1)
+    return flat.reshape(coef.shape[:-1] + generators.shape[1:])
+
+
+def _blocks_2d(fa: np.ndarray, fb: np.ndarray, z: np.ndarray):
+    """The two invariant 2x2 blocks of the 2D matrix as (x, y, |coupling|^2), x and y
+    the diagonal entries."""
+    z2 = np.abs(z) ** 2
+    return ((fa[..., 0] + fa[..., 1], fb[..., 0] - fb[..., 1], z2),
+            (fa[..., 0] - fa[..., 1], fb[..., 0] + fb[..., 1], z2))
+
+
+def _min_eig_2x2(x: np.ndarray, y: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + y) - np.sqrt(0.25 * (x - y) ** 2 + z2)
+
+
+def _min_eigenvalues(fa: np.ndarray, fb: np.ndarray, z: np.ndarray,
+                     generators: Optional[np.ndarray] = None) -> np.ndarray:
+    """Smallest obstruction eigenvalue per point from the invariant-block split.
+
+    2D: closed form on the 2x2 blocks.  4D: `generators` restricted to
+    OBSTRUCTION_BLOCKS_4D, and a Hermitian eigensolve per 4x4 block.
+    """
+    if fa.shape[-1] == 2:
+        return np.minimum(*(_min_eig_2x2(*blk) for blk in _blocks_2d(fa, fb, z)))
+    return np.linalg.eigvalsh(_assemble(generators, fa, fb, z))[..., 0].min(axis=-1)
 
 
 def obstruction_matrices(pair: CausalElementPair, points, model: SpacetimeModel,
@@ -165,22 +202,7 @@ def obstruction_matrices(pair: CausalElementPair, points, model: SpacetimeModel,
     if pts.shape[-1] != model.dimension or model.dimension != rep.dimension:
         raise ValueError("model, representation, and points must share one dimension")
     _, _, fa, fb, z = pair_field_data(pair, pts, model)
-    k = rep.spinor_size
-    Vs = np.stack(rep.v_ops.vs)
-    M = np.zeros(pts.shape[:-1] + (2 * k, 2 * k), dtype=complex)
-    M[..., :k, :k] = np.einsum("...a,aij->...ij", fa, Vs)
-    M[..., k:, k:] = np.einsum("...a,aij->...ij", fb, Vs)
-    M[..., :k, k:] = -rep.v_ops.iV * z[..., None, None]
-    M[..., k:, :k] = rep.v_ops.iV * np.conj(z)[..., None, None]
-    return M
-
-
-def obstruction_matrix(pair: CausalElementPair, point, model: SpacetimeModel,
-                       rep: SpinRepresentation) -> ObstructionMatrix:
-    """The obstruction matrix of the pair at a single point."""
-    point = np.asarray(point, dtype=float).reshape(-1)
-    mat = obstruction_matrices(pair, point[None, :], model, rep)[0]
-    return ObstructionMatrix(point=point, matrix=mat)
+    return _assemble(_block_generators(rep), fa, fb, z)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +222,9 @@ def _require_hermitian(M: np.ndarray):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
 
 
-def is_psd(M: ObstructionMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdResult:
+def is_psd(M: np.ndarray, tol: float = PSD_TOL) -> PsdResult:
     """Eigenvalue route: PSD iff the smallest eigenvalue is >= -tol."""
-    mat = M.matrix if isinstance(M, ObstructionMatrix) else np.asarray(M)
+    mat = np.asarray(M)
     _require_hermitian(mat)
     eigs = np.linalg.eigvalsh(mat)
     mn = float(eigs[0])
@@ -226,7 +248,7 @@ class CertificateResult:
     closed_form_discrepancy: Optional[float] = None
 
 
-def charpoly_certificate(M: ObstructionMatrix | np.ndarray,
+def charpoly_certificate(M: np.ndarray,
                          closed_form: Optional[Sequence[float]] = None,
                          tol: float = PSD_TOL) -> CertificateResult:
     """Coefficient route via trace-power (Newton) identities.
@@ -235,7 +257,7 @@ def charpoly_certificate(M: ObstructionMatrix | np.ndarray,
     keeps the alternating sums from drowning the small high-order coefficients; the
     reported coefficients are rescaled back.
     """
-    mat = M.matrix if isinstance(M, ObstructionMatrix) else np.asarray(M)
+    mat = np.asarray(M)
     k = mat.shape[0]
     if mat.shape != (k, k) or k not in (4, 8):
         raise ValueError(f"unsupported matrix size {mat.shape}; expected 4x4 or 8x8")
@@ -306,15 +328,8 @@ def witness_matrix_at(w, theta: float, m: complex, rep: SpinRepresentation) -> n
     k_a = am / (2.0 * np.sin(theta) ** 2 * np.sqrt(G))
     k_b = am / (2.0 * np.cos(theta) ** 2 * np.sqrt(G))
     flip = np.concatenate(([w[0]], -w[1:]))
-    z = -m / s2t
-    k = rep.spinor_size
-    Vs = np.stack(rep.v_ops.vs)
-    M = np.zeros((2 * k, 2 * k), dtype=complex)
-    M[:k, :k] = np.einsum("a,aij->ij", k_a * flip, Vs)
-    M[k:, k:] = np.einsum("a,aij->ij", k_b * flip, Vs)
-    M[:k, k:] = -rep.v_ops.iV * z
-    M[k:, :k] = rep.v_ops.iV * np.conj(z)
-    return M
+    z = np.asarray(-m / s2t, dtype=complex)
+    return _assemble(_block_generators(rep), k_a * flip, k_b * flip, z)
 
 
 def witness_certificate_2d(lam1: float, lam2: float, theta: float, m: complex) -> np.ndarray:
@@ -366,21 +381,10 @@ def pointwise_min_eigenvalues(pair: CausalElementPair, points, model: SpacetimeM
     The 2D matrix splits into 2x2 blocks on index pairs (0,3) and (1,2) — closed
     form.  The 8x8 splits into 4x4 blocks on indices (0,1,6,7) and (2,3,4,5).
     """
-    pts = np.asarray(points, dtype=float)
+    _, _, fa, fb, z = pair_field_data(pair, points, model)
     if model.dimension == 2:
-        _, _, fa, fb, z = pair_field_data(pair, pts, model)
-        ap = fa[..., 0] + fa[..., 1]
-        am = fa[..., 0] - fa[..., 1]
-        bp = fb[..., 0] + fb[..., 1]
-        bm = fb[..., 0] - fb[..., 1]
-        z2 = np.abs(z) ** 2
-        e1 = 0.5 * (ap + bm) - np.sqrt(0.25 * (ap - bm) ** 2 + z2)
-        e2 = 0.5 * (am + bp) - np.sqrt(0.25 * (am - bp) ** 2 + z2)
-        return np.minimum(e1, e2)
-    M = obstruction_matrices(pair, pts, model, rep)
-    e1, e2 = (np.linalg.eigvalsh(M[(..., *np.ix_(blk, blk))])[..., 0]
-              for blk in OBSTRUCTION_BLOCKS_4D)
-    return np.minimum(e1, e2)
+        return _min_eigenvalues(fa, fb, z)
+    return _min_eigenvalues(fa, fb, z, _block_generators(rep, OBSTRUCTION_BLOCKS_4D))
 
 
 @dataclass
@@ -428,15 +432,8 @@ class _WitnessSide(ScalarField):
         pts = np.asarray(points, dtype=float)
         idx = self.owner.sample_index(pts)
         frame = self.owner.fa_samples if self.which == "a" else self.owner.fb_samples
-        f = frame[idx]
-        model = self.owner.model
-        # convert the prescribed frame gradient back to coordinates at the query point
-        if model.metric_kind == "minkowski":
-            return f
-        if model.metric_kind == "conformal2d":
-            return f / model.omega(pts)[..., None]
-        E = model.frame_matrices(pts)
-        return np.linalg.solve(E, f[..., None])[..., 0]
+        # the prescribed frame gradient, in coordinates at the query point
+        return self.owner.model.from_frame(pts, frame[idx])
 
 
 @dataclass
@@ -472,17 +469,7 @@ class WitnessPair(CausalElementPair):
         """Ordering functional at the endpoints; negative = states separated."""
         p = self.curve.points[0]
         q = self.curve.points[-1]
-        return ordering_gap(self, MixedStateLike(p, self.xi), MixedStateLike(q, self.phi))
-
-
-class MixedStateLike:
-    """Duck type carrying (point, xi) without re-validating ranges."""
-
-    __slots__ = ("point", "xi")
-
-    def __init__(self, point, xi):
-        self.point = np.asarray(point, dtype=float)
-        self.xi = float(xi)
+        return ordering_gap(self, MixedState(p, self.xi), MixedState(q, self.phi))
 
 
 def ordering_gap(pair: CausalElementPair, state1, state2) -> float:
@@ -688,10 +675,8 @@ def verify_vector_noop(model: SpacetimeModel, pair: CausalElementPair, grid,
     A_exprs, B_exprs = model.vector_potentials
     A = np.stack([e(pts) for e in A_exprs], axis=-1)  # (..., n) coordinate components
     B = np.stack([e(pts) for e in B_exprs], axis=-1)
-    E = model.frame_matrices(pts)
     # curved gamma~^mu A_mu = gamma^a (e_a^mu A_mu)
-    alpha = np.einsum("...am,...m->...a", E, A)
-    beta = np.einsum("...am,...m->...a", E, B)
+    alpha, beta = model.to_frame(pts, np.stack([A, B]))
     gam = np.stack(rep.gammas)
     Xa = np.einsum("...a,aij->...ij", alpha, gam)
     Xb = np.einsum("...a,aij->...ij", beta, gam)

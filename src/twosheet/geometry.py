@@ -25,7 +25,7 @@ of nodes per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -225,6 +225,28 @@ class SpacetimeModel:
         vt = np.broadcast_to(v, pts.shape)
         return np.linalg.solve(np.swapaxes(E, -1, -2), vt[..., None])[..., 0]
 
+    def to_frame(self, points, grads) -> np.ndarray:
+        """Flat-frame derivatives f_a = e_a^mu g_mu of coordinate gradients g at points.
+
+        grads may carry extra leading axes (e.g. two stacked gradients) that
+        broadcast against the points.
+        """
+        g = np.asarray(grads, dtype=float)
+        if self.metric_kind == "minkowski":
+            return g
+        if self.metric_kind == "conformal2d":
+            return self.omega(points)[..., None] * g
+        return np.einsum("...am,...m->...a", self.frame_matrices(points), g)
+
+    def from_frame(self, points, f) -> np.ndarray:
+        """Coordinate gradients g with to_frame(points, g) = f (the inverse map)."""
+        f = np.asarray(f, dtype=float)
+        if self.metric_kind == "minkowski":
+            return f
+        if self.metric_kind == "conformal2d":
+            return f / self.omega(points)[..., None]
+        return np.linalg.solve(self.frame_matrices(points), f[..., None])[..., 0]
+
     def frame_norm2(self, w) -> np.ndarray:
         """eta(w, w) on flat-frame components (negative for timelike)."""
         w = np.asarray(w)
@@ -312,13 +334,6 @@ class CausalCurve:
                 raise InvalidCurveError("tangents must match the points array")
         return cls(ts=ts, points=points, tangents=tangents)
 
-    @classmethod
-    def from_function(cls, fn: Callable[[float], Iterable[float]], t0: float, t1: float,
-                      n: int = 129) -> "CausalCurve":
-        ts = np.linspace(t0, t1, n)
-        pts = np.array([np.asarray(fn(t), dtype=float) for t in ts])
-        return cls.from_samples(ts, pts)
-
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
@@ -330,10 +345,6 @@ class CausalCurve:
     @property
     def end(self) -> np.ndarray:
         return self.points[-1]
-
-    def reversed_orientation(self) -> "CausalCurve":
-        return CausalCurve(ts=self.ts, points=self.points[::-1].copy(),
-                           tangents=-self.tangents[::-1].copy())
 
 
 def straight_curve(p, q, n: int = 129) -> CausalCurve:
@@ -470,16 +481,6 @@ def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8, need_mask: bool 
     causal = np.all(eta <= CURVE_TOL * norm2[..., None], axis=-1)
     future = np.all(w[..., 0] > 0, axis=-1) | (norm2 <= 1e-28)
     return vals, causal & future
-
-
-def _polyline_segment_values(model, nodes, nsub):
-    return _segment_values(model, nodes[:-1], nodes[1:], nsub=nsub)
-
-
-def _chord_admissible(model, a, b, nsub=8) -> bool:
-    _, ok = _segment_values(model, np.asarray(a)[None, :], np.asarray(b)[None, :],
-                            nsub=nsub, need_mask=True)
-    return bool(ok[0])
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +688,7 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
     """
     nodes = np.array(nodes, dtype=float)
     L = len(nodes)
-    seg = _polyline_segment_values(model, nodes, nsub)
+    seg = _segment_values(model, nodes[:-1], nodes[1:], nsub=nsub)
 
     span = L - 1
     while span >= 2:
@@ -771,6 +772,18 @@ def _polyline_to_curve(nodes: np.ndarray, subdivide: int = 4) -> CausalCurve:
     return CausalCurve.from_samples(ts, pts)
 
 
+def _resolve_method(model: SpacetimeModel, method: str) -> str:
+    """'closed' or 'dp' for a requested method ('auto', 'closed' or 'dp')."""
+    if method not in ("auto", "closed", "dp"):
+        raise ValueError(f"unknown method {method!r}")
+    closed_available = model.metric_kind == "minkowski" and model.mass_kind == "constant"
+    if method == "auto":
+        return "closed" if closed_available else "dp"
+    if method == "closed" and not closed_available:
+        raise ValueError("closed form needs a flat metric with constant mass")
+    return method
+
+
 def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int] = None,
                         refine: bool = True, return_curve: bool = False,
                         method: str = "auto"):
@@ -781,19 +794,13 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
     even where the closed form applies; 'closed' demands it.  Raises NotRelatedError
     when no causal curve exists.
     """
-    if method not in ("auto", "closed", "dp"):
-        raise ValueError(f"unknown method {method!r}")
     p = _as_point(p, model.dimension)
     q = _as_point(q, model.dimension)
     if not is_causally_related(p, q, model):
         raise NotRelatedError(f"{p.tolist()} does not precede {q.tolist()}")
 
-    closed_available = model.metric_kind == "minkowski" and model.mass_kind == "constant"
-    if method == "closed" and not closed_available:
-        raise ValueError("closed form needs a flat metric with constant mass")
-
     dt = q[0] - p[0]
-    if closed_available and method != "dp":
+    if _resolve_method(model, method) == "closed":
         val = abs(model.mass) * float(np.sqrt(max(0.0, dt * dt - np.sum((q[1:] - p[1:]) ** 2))))
         if return_curve:
             return val, straight_curve(p, q, n=129)
@@ -806,17 +813,21 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
         return 0.0
 
     candidates: List[Tuple[float, np.ndarray]] = []
-    if _chord_admissible(model, p, q, nsub=max(nsub, 16)):
+    _, chord_ok = _segment_values(model, p[None, :], q[None, :], nsub=max(nsub, 16),
+                                  need_mask=True)
+    if chord_ok[0]:
         k = max(int(model.resolutions["time_steps"]) // 2, 32)
         fr = np.linspace(0.0, 1.0, k)[:, None]
         chord_nodes = p[None, :] + fr * (q - p)[None, :]
-        chord_val = float(np.sum(_polyline_segment_values(model, chord_nodes, nsub)))
+        chord_val = float(np.sum(_segment_values(model, chord_nodes[:-1], chord_nodes[1:],
+                                                 nsub=nsub)))
         candidates.append((chord_val, chord_nodes))
 
     lat_val, lat_path = _lattice_best(model, p, q, nt=time_steps)
     if lat_path is not None:
         lat_path[-1] = q  # snap the terminal node onto the exact target
-        lat_poly_val = float(np.sum(_polyline_segment_values(model, lat_path, nsub)))
+        lat_poly_val = float(np.sum(_segment_values(model, lat_path[:-1], lat_path[1:],
+                                                    nsub=nsub)))
         candidates.append((lat_poly_val, lat_path))
 
     if not candidates:
@@ -841,7 +852,7 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
 
 def single_source_field(model: SpacetimeModel, p, t_max: float,
                         *, time_steps: Optional[int] = None) -> LatticeField:
-    """One forward sweep from p covering the whole spatial box up to t_max.
+    """One forward sweep from p covering the whole spatial box up to t_max (2D models).
 
     Cone-surface generation reads node values from this field and tops them up with
     per-target straight-chord candidates; both are lower bounds on the supremum.
@@ -849,15 +860,7 @@ def single_source_field(model: SpacetimeModel, p, t_max: float,
     p = _as_point(p, model.dimension)
     model.require_in_domain(p)
     nt = time_steps or int(model.resolutions["time_steps"])
-    if model.dimension == 2:
-        lo = model.domain_box[1, 0] - p[1]
-        hi = model.domain_box[1, 1] - p[1]
-        direction = None
-    else:
-        # cover the box diagonal through p along the x-axis plane
-        lo = model.domain_box[1, 0] - p[1]
-        hi = model.domain_box[1, 1] - p[1]
-        direction, _ = _plane_frame(p, p + np.array([1.0, 1.0] + [0.0] * (model.dimension - 2)))
+    lo = model.domain_box[1, 0] - p[1]
+    hi = model.domain_box[1, 1] - p[1]
     return _build_lattice(model, p, float(t_max), lo, hi, nt=nt,
-                          target_columns=int(model.resolutions["space_steps"]),
-                          direction=direction)
+                          target_columns=int(model.resolutions["space_steps"]))

@@ -23,6 +23,10 @@ from .cone import (
     OBSTRUCTION_BLOCKS_4D,
     CausalElementPair,
     FunctionField,
+    _assemble,
+    _block_generators,
+    _blocks_2d,
+    _min_eigenvalues,
     certification_grid,
     ordering_gap,
     witness_element,
@@ -121,48 +125,34 @@ class _GridContext:
     """Element-independent data on the certification grid, computed once.
 
     The obstruction matrix is linear in the frame gradients (fa, fb) and the coupling
-    z, so one assembler builds the time function's blocks (fa = fb = fT, z = 0), a
-    draw's bump blocks, and their sum at any shrink.
+    z, so cone.py's block assemblers build the time function's blocks (fa = fb = fT,
+    z = 0), a draw's bump blocks, and their sum at any shrink.  Each draw maps its
+    gradients with `SpacetimeModel.to_frame`: re-evaluating a vielbein table costs
+    a small fraction of a draw, and the table is not held for the whole run.
     """
 
     def __init__(self, model: SpacetimeModel, rep: SpinRepresentation, grid: np.ndarray):
         self.model = model
         self.grid = grid
         self.mass = model.mass_at(grid)
-        self.omega = model.omega(grid) if model.metric_kind == "conformal2d" else None
-        self.frames = model.frame_matrices(grid) if model.metric_kind == "vielbein4d" else None
-
-        # frame derivative of T(x) = x^0 is the first column of the frame table
-        if model.metric_kind == "minkowski":
-            fT = np.zeros(grid.shape)
-            fT[:, 0] = 1.0
-        elif model.metric_kind == "conformal2d":
-            fT = np.zeros(grid.shape)
-            fT[:, 0] = self.omega
-        else:
-            fT = self.frames[..., 0]
+        # frame derivative of the time function T(x) = x^0
+        e0 = np.zeros(grid.shape)
+        e0[:, 0] = 1.0
+        fT = model.to_frame(grid, e0)
         if np.min(fT[:, 0] - np.linalg.norm(fT[:, 1:], axis=-1)) <= 0.0:
             # the exact shrink factors the time function's blocks, so they must be
             # positive definite: a null slicing is as unusable as a spacelike one
             raise ValueError("the coordinate time function is not causal for this model; "
                              "oracle sampling needs a causal time slicing")
         self.fT = fT
-        if model.dimension == 4:
-            self.generators = _block_generators(rep)
-
-    def frame_gradients(self, ga: np.ndarray, gb: np.ndarray):
-        if self.model.metric_kind == "minkowski":
-            return ga, gb
-        if self.model.metric_kind == "conformal2d":
-            return ga * self.omega[:, None], gb * self.omega[:, None]
-        return (np.einsum("pam,pm->pa", self.frames, ga),
-                np.einsum("pam,pm->pa", self.frames, gb))
+        self.generators = (None if model.dimension == 2
+                           else _block_generators(rep, OBSTRUCTION_BLOCKS_4D))
 
     def perturbation(self, c: Dict[str, np.ndarray]):
         """Frame gradients (fa, fb) and coupling z of a draw's bumps on the grid."""
         V, Gr = _bump_basis(self.grid, c["centers"], c["widths"], c["waves"], c["phases"])
-        fa, fb = self.frame_gradients(np.einsum("pbk,b->pk", Gr, c["amp_a"]),
-                                      np.einsum("pbk,b->pk", Gr, c["amp_b"]))
+        ga, gb = (np.einsum("pbk,b->pk", Gr, c[key]) for key in ("amp_a", "amp_b"))
+        fa, fb = self.model.to_frame(self.grid, np.stack([ga, gb]))
         return fa, fb, self.mass * (V @ c["amp_a"] - V @ c["amp_b"])
 
     def largest_shrink(self, pert) -> float:
@@ -177,22 +167,8 @@ class _GridContext:
         fa = self.fT + s * fa
         fb = self.fT + s * fb
         z = s * z
-        if self.model.dimension == 2:
-            return float(min(np.min(_min_eig_2x2(*blk)) for blk in _blocks_2d(fa, fb, z)))
-        return min(float(np.linalg.eigvalsh(
-            _blocks_4d(self.generators, fa[sl], fb[sl], z[sl]))[..., 0].min())
-            for sl in _point_blocks(len(self.grid)))
-
-
-def _blocks_2d(fa: np.ndarray, fb: np.ndarray, z: np.ndarray):
-    """The two invariant 2x2 blocks as (diagonal x, diagonal y, |coupling|^2)."""
-    z2 = np.abs(z) ** 2
-    return ((fa[:, 0] + fa[:, 1], fb[:, 0] - fb[:, 1], z2),
-            (fa[:, 0] - fa[:, 1], fb[:, 0] + fb[:, 1], z2))
-
-
-def _min_eig_2x2(x: np.ndarray, y: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + y) - np.sqrt(0.25 * (x - y) ** 2 + z2)
+        return min(float(_min_eigenvalues(fa[sl], fb[sl], z[sl], self.generators).min())
+                   for sl in _point_blocks(len(self.grid)))
 
 
 def _failure_rate_2d(ctx: _GridContext, fa, fb, z) -> float:
@@ -221,31 +197,6 @@ def _failure_rate_2d(ctx: _GridContext, fa, fb, z) -> float:
     return rate
 
 
-def _block_generators(rep: SpinRepresentation) -> np.ndarray:
-    """Constant matrices G with block = sum_c coef_c G_c, coef = (fa, fb, z, conj z).
-
-    Shape (2n + 2, blocks, 4, 4): the V^a of each sheet and the -iV / iV couplings,
-    restricted to the invariant index sets of cone.OBSTRUCTION_BLOCKS_4D.
-    """
-    n, k = rep.dimension, rep.spinor_size
-    full = np.zeros((2 * n + 2, 2 * k, 2 * k), dtype=complex)
-    for a, Va in enumerate(rep.v_ops.vs):
-        full[a, :k, :k] = Va
-        full[n + a, k:, k:] = Va
-    full[2 * n, :k, k:] = -rep.v_ops.iV
-    full[2 * n + 1, k:, :k] = rep.v_ops.iV
-    return np.stack([full[(np.s_[:], *np.ix_(blk, blk))] for blk in OBSTRUCTION_BLOCKS_4D],
-                    axis=1)
-
-
-def _blocks_4d(generators: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-               z: np.ndarray) -> np.ndarray:
-    """The invariant 4x4 obstruction blocks, shape (N, blocks, 4, 4), by one product."""
-    coef = np.concatenate([fa, fb, z[:, None], np.conj(z)[:, None]], axis=1)
-    flat = coef @ generators.reshape(len(generators), -1)
-    return flat.reshape((len(fa),) + generators.shape[1:])
-
-
 def _point_blocks(count: int):
     return (slice(i, min(i + CERTIFY_BLOCK_POINTS, count))
             for i in range(0, count, CERTIFY_BLOCK_POINTS))
@@ -262,8 +213,8 @@ def _failure_rate_4d(ctx: _GridContext, fa, fb, z) -> float:
     rate = 0.0
     for sl in _point_blocks(len(ctx.grid)):
         fT = ctx.fT[sl]
-        L = np.linalg.cholesky(_blocks_4d(gens, fT, fT, np.zeros(len(fT))))
-        X = np.linalg.solve(L, _blocks_4d(gens, fa[sl], fb[sl], z[sl]))  # L^-1 P
+        L = np.linalg.cholesky(_assemble(gens, fT, fT, np.zeros(len(fT))))
+        X = np.linalg.solve(L, _assemble(gens, fa[sl], fb[sl], z[sl]))  # L^-1 P
         C = np.linalg.solve(L, np.conj(np.swapaxes(X, -1, -2)))        # L^-1 P L^-H
         rate = max(rate, -float(np.linalg.eigvalsh(C)[..., 0].min()))
     return rate

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from twosheet.causality import decide, diagonal_mass_decide, fluctuate, future_cone
+from twosheet.causality import decide, fluctuate, future_cone
 from twosheet.clifford import make_representation, verify_representation
 from twosheet.cone import (
     certification_grid,
@@ -166,7 +166,7 @@ def test_criterion_06_diagonal_internal_operator():
         q = rng.uniform(-4, 4, 2)
         xi = rng.uniform(0, 1)
         phi = xi if rng.uniform() < 0.5 else rng.uniform(0, 1)
-        dec = diagonal_mass_decide((p, xi), (q, phi), m)
+        dec = decide((p, xi), (q, phi), m)
         dt, dx = q[0] - p[0], abs(q[1] - p[1])
         expected = (xi == phi) and (dt >= 0.0) and (dt >= dx)
         agree += dec.related == expected

@@ -5,7 +5,6 @@ import pytest
 
 from twosheet.causality import (
     decide,
-    diagonal_mass_decide,
     fluctuate,
     future_cone,
     internal_gap,
@@ -136,17 +135,15 @@ def test_dp_agrees_with_closed_on_clear_pairs():
 
 def test_diagonal_decisions_are_exact():
     m = diag2()
-    ok = diagonal_mass_decide(((0.0, 0.0), 0.5), ((1.0, 0.5), 0.5), m)
+    ok = decide(((0.0, 0.0), 0.5), ((1.0, 0.5), 0.5), m)
     assert ok.related and ok.method == "diagonal" and ok.required == 0.0
-    off = diagonal_mass_decide(((0.0, 0.0), 0.5), ((1.0, 0.5), 0.5 + 1e-15), m)
+    off = decide(((0.0, 0.0), 0.5), ((1.0, 0.5), 0.5 + 1e-15), m)
     assert not off.related and off.required == np.inf
-    outside = diagonal_mass_decide(((0.0, 0.0), 0.5), ((0.2, 1.0), 0.5), m)
+    outside = decide(((0.0, 0.0), 0.5), ((0.2, 1.0), 0.5), m)
     assert not outside.related and outside.base_related is False
-    # decide() routes diagonal models to the same exact path
-    via_decide = decide(((0.0, 0.0), 0.5), ((1.0, 0.5), 0.5), m)
-    assert via_decide == ok
-    with pytest.raises(ValueError):
-        diagonal_mass_decide(((0.0, 0.0), 0.5), ((1.0, 0.0), 0.5), flat2())
+    # the exact path runs before method and tol are read
+    forced = decide(((0.0, 0.0), 0.5), ((1.0, 0.5), 0.5), m, method="closed", tol=0.5)
+    assert forced == ok
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +221,13 @@ def test_cone_surface_rejections():
     with pytest.raises(NotImplementedError):
         future_cone(((0.0, 0.0, 0.0, 0.0), 0.0), viel,
                     grid=np.array([[0.5, 0.0, 0.0, 0.0]]))
+    # the 1+1 lattice would read a spacelike target off the x axis as reachable
+    flat4 = SpacetimeModel.minkowski(4, mass=1.0, box=[[-3, 3]] * 4)
+    with pytest.raises(NotImplementedError):
+        future_cone(((0.0, 0.0, 0.0, 0.0), 0.3), flat4,
+                    grid=([2.0], [0.0], [3.0], [0.0]), method="dp", time_steps=41)
+    assert not future_cone(((0.0, 0.0, 0.0, 0.0), 0.3), flat4,
+                           grid=([2.0], [0.0], [3.0], [0.0])).reachable[0]
 
 
 # ---------------------------------------------------------------------------

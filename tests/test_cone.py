@@ -1,21 +1,21 @@
 """Obstruction matrices, PSD certification, witnesses, spinors, saturation."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from twosheet import modelfile
 from twosheet.clifford import make_representation
 from twosheet.cone import (
     CausalElementPair,
     FunctionField,
-    MixedStateLike,
     certification_grid,
     charpoly_certificate,
     is_causal_element,
     is_psd,
     obstruction_matrices,
-    obstruction_matrix,
     ordering_gap,
     pair_field_data,
     pointwise_min_eigenvalues,
@@ -29,10 +29,12 @@ from twosheet.cone import (
     witness_tube_grid,
 )
 from twosheet.expressions import parse_expression
-from twosheet.geometry import SpacetimeModel, straight_curve
+from twosheet.geometry import (MixedState, SpacetimeModel, max_weighted_length,
+                               straight_curve)
 
 REP2 = make_representation(2)
 REP4 = make_representation(4)
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
 def flat2(mass=1.0):
@@ -55,7 +57,7 @@ def test_obstruction_is_hermitian_and_block_structured():
 def test_equal_sheets_have_zero_coupling():
     m = flat2()
     pair = CausalElementPair.from_expressions("t", "t", 2)
-    M = obstruction_matrix(pair, [0.3, -0.2], m, REP2).matrix
+    M = obstruction_matrices(pair, np.array([[0.3, -0.2]]), m, REP2)[0]
     assert np.abs(M[:2, 2:]).max() == 0.0
     assert np.abs(M - np.eye(4)).max() == 0.0  # time V is the identity
 
@@ -208,8 +210,12 @@ def test_steep_pair_is_not_causal_element():
 
 def test_pointwise_min_eigenvalues_match_dense_eigsolver():
     rng = np.random.default_rng(31)
-    for dim, rep in ((2, REP2), (4, REP4)):
-        m = SpacetimeModel.minkowski(dim, mass=0.8 - 0.4j)
+    for m in (SpacetimeModel.minkowski(2, mass=0.8 - 0.4j),
+              SpacetimeModel.minkowski(4, mass=0.8 - 0.4j),
+              modelfile.load(os.path.join(MODELS, "conformal2d.json")),
+              modelfile.load(os.path.join(MODELS, "vielbein4d.json"))):
+        dim = m.dimension
+        rep = REP2 if dim == 2 else REP4
         pair = CausalElementPair.from_expressions(
             "t + 0.3*sin(x)", "t - 0.2*cos(x)", dim)
         pts = rng.uniform(-1, 1, size=(40, dim))
@@ -256,6 +262,17 @@ def test_witness_4d():
     assert pointwise_min_eigenvalues(wp, tube, m, REP4).min() >= -1e-12
 
 
+def test_witness_on_vielbein_model():
+    # the only witness whose frame gradients go back through the vielbein solve
+    m = modelfile.load(os.path.join(MODELS, "vielbein4d.json"))
+    _, curve = max_weighted_length((-0.2, 0.0, 0.0, 0.0), (0.3, 0.1, 0.05, 0.0), m,
+                                   return_curve=True)
+    wp = witness_element(curve, 1.0, 0.0, m)
+    assert wp.separation() < 0.0
+    tube = witness_tube_grid(curve, 0.1, per_sample=3)
+    assert pointwise_min_eigenvalues(wp, tube, m, REP4).min() >= -1e-12
+
+
 def test_witness_preconditions():
     m = flat2()
     curve = straight_curve([0.0, 0.0], [1.0, 0.0], n=65)
@@ -271,7 +288,7 @@ def test_witness_preconditions():
 def test_ordering_gap_is_exactly_zero_for_identical_states():
     m = flat2()
     pair = CausalElementPair.from_expressions("t + 0.1*sin(x)", "t - 0.3*x", 2)
-    s = MixedStateLike(np.array([0.37, -1.21]), 0.642)
+    s = MixedState(np.array([0.37, -1.21]), 0.642)
     assert ordering_gap(pair, s, s) == 0.0
 
 
@@ -314,7 +331,7 @@ def test_saturation_attains_the_mixing_bound(dim, rep):
     pt = np.zeros(dim)
     pt[0], pt[1] = 0.5, 0.4  # sheet values differ here, so the coupling is live
     a, b, fa, fb, z = pair_field_data(pair, pt[None, :], model)
-    M = obstruction_matrix(pair, pt, model, rep).matrix
+    M = obstruction_matrices(pair, pt[None], model, rep)[0]
     for _ in range(25):
         v = rng.normal(size=dim - 1)
         v *= rng.uniform(0, 0.9) / np.linalg.norm(v)

@@ -116,6 +116,28 @@ def test_diagonal_weight_rejected_but_mass_vanishes():
         m.weight(pts)
 
 
+@pytest.mark.parametrize("model", [
+    SpacetimeModel.minkowski(2, mass=1.0),
+    SpacetimeModel.minkowski(4, mass=1.0),
+    modelfile.load(os.path.join(MODELS, "conformal2d.json")),
+    modelfile.load(os.path.join(MODELS, "vielbein4d.json")),
+    SpacetimeModel.with_vielbein([["1", "0.2*x", "0", "0"],
+                                  ["0.1*t", "1 + 0.1*t", "0", "0"],
+                                  ["0", "0.05*y", "1", "0.1*y"],
+                                  ["0", "0", "0", "1 + 0.05*x"]],
+                                 mass=1.0, box=[[-2, 2]] * 4),
+], ids=["minkowski2d", "minkowski4d", "conformal2d", "vielbein4d", "vielbein4d-mixed"])
+def test_frame_gradient_map_round_trips(model):
+    rng = np.random.default_rng(5)
+    n = model.dimension
+    pts = rng.uniform(-1.5, 1.5, size=(50, n))
+    g = rng.normal(size=(2, 50, n))  # two stacked gradients, as the assemblers pass them
+    f = model.to_frame(pts, g)
+    np.testing.assert_array_equal(
+        f, np.einsum("...am,...m->...a", model.frame_matrices(pts), g))
+    np.testing.assert_allclose(model.from_frame(pts, f), g, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # curves and lengths
 

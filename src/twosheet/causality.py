@@ -205,18 +205,18 @@ def _closed_cone_budget(model: SpacetimeModel, p: np.ndarray,
 
 
 def _chord_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
-                  segments: int = 32, chunk: int = 4096) -> Tuple[np.ndarray, np.ndarray]:
-    """Straight-chord weighted lengths p -> target, with admissibility mask."""
-    fr = np.linspace(0.0, 1.0, segments + 1)
+                  chunk: int = 4096) -> Tuple[np.ndarray, np.ndarray]:
+    """Straight-chord weighted lengths p -> target, with admissibility mask.
+
+    Every chord is one segment with the exact velocity target - p, so a null
+    target gets exactly 0.
+    """
+    nsub = 32 * int(model.resolutions["quadrature"])
     vals = np.empty(len(pts))
     ok = np.empty(len(pts), dtype=bool)
-    nsub = int(model.resolutions["quadrature"])
     for s in range(0, len(pts), chunk):
-        block = pts[s:s + chunk]
-        nodes = p[None, None, :] + fr[None, :, None] * (block - p)[:, None, :]
-        v, m = _segment_values(model, nodes[:, :-1], nodes[:, 1:], nsub=nsub, need_mask=True)
-        vals[s:s + chunk] = np.sum(v, axis=-1)
-        ok[s:s + chunk] = np.all(m, axis=-1)
+        vals[s:s + chunk], ok[s:s + chunk] = _segment_values(
+            model, p[None, :], pts[s:s + chunk], nsub=nsub, need_mask=True)
     return vals, ok
 
 
@@ -235,19 +235,7 @@ def _dp_cone_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
     t_max = float(np.max(pts[:, 0]))
     if t_max > p[0] + 1e-9:
         fld = single_source_field(model, p, t_max, time_steps=time_steps)
-        ht = fld.ts[1] - fld.ts[0] if len(fld.ts) > 1 else 1.0
-        hx = fld.sigmas[1] - fld.sigmas[0] if len(fld.sigmas) > 1 else 1.0
-        ii = np.clip(np.floor((pts[:, 0] - fld.ts[0]) / ht + 1e-9).astype(int),
-                     0, len(fld.ts) - 1)
-        jj = np.clip(np.round((pts[:, 1] - p[1] - fld.sigmas[0]) / hx).astype(int),
-                     0, len(fld.sigmas) - 1)
-        # read a node in the target's causal past, so that its value is a lower
-        # bound: the floor row's nearest column can lie outside that cone, while the
-        # node one row earlier is >= ht before the target and <= hx / 2 <= ht beside it
-        late = (np.abs(pts[:, 1] - p[1] - fld.sigmas[jj])
-                > pts[:, 0] - fld.ts[ii] + CONE_TOL)
-        ii = np.maximum(ii - late, 0)
-        node_vals = fld.value[ii, jj]
+        node_vals = fld.value[fld.node_below(pts)]
         weighted = np.maximum(weighted, np.where(reach, node_vals, -np.inf))
 
     weighted = np.where(reach, np.maximum(weighted, 0.0), weighted)

@@ -9,23 +9,22 @@ weighted length of a causal curve is
 
 `max_weighted_length` approximates the supremum of that functional over causal
 curves between two points: closed form where available, otherwise a causal-lattice
-dynamic program followed by deterministic polyline refinement.  Refinement first
-replaces dyadic spans by straight chords, in batches of chords that share no
-segment, then moves single nodes sideways in red/black sweeps (all odd nodes, then
-all even ones).  The refined value is a certified lower bound that converges as
-the lattice refines; a pure lattice path systematically underestimates off-axis
-targets because of velocity quantization, which is why the refinement stage is not
-optional.
-
-Every stage evaluates segments in wide `_segment_values` calls: the lattice sweep
-takes a block of rows per call, and refinement one batch of chords or one colour
-of nodes per call.
+dynamic program followed by deterministic polyline refinement.  The lattice runs
+in null coordinates u = t + sigma, v = t - sigma of the flat reference cone over
+the diamond J+(p) ∩ J-(q), so p and q are nodes and the chord p -> q is its
+diagonal (longest chains on a causal lattice approximate proper time: Brightwell
+& Gregory, PRL 66 (1991) 260).  Refinement first replaces dyadic spans by
+straight chords, the whole span first, in batches of chords that share no segment,
+then moves single nodes sideways in red/black sweeps (all odd nodes, then all even
+ones), one batch or colour per `_segment_values` call.  The refined value is a
+certified lower bound that converges as the lattice refines; a pure lattice path
+underestimates because of velocity quantization, so refinement is not optional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,11 +50,10 @@ __all__ = [
 CONE_TOL = 1e-12        # inclusive cone-boundary comparisons
 CURVE_TOL = 1e-9        # causality tolerance on normalized tangents
 MIN_CURVE_SAMPLES = 17  # composite Simpson needs a real grid (16 intervals)
-LATTICE_BLOCK_SEGMENTS = 2048  # lattice edges per segment call; bounds the sweep's memory
 
 DEFAULT_RESOLUTIONS = {
-    "time_steps": 401,       # lattice rows for the dynamic program
-    "space_steps": 401,      # target lattice columns per spatial axis
+    "time_steps": 401,       # lattice diamond: time_steps // 2 steps per null axis
+    "space_steps": 401,      # default cone grid points per spatial axis
     "certification": None,   # cone-certification grid, per-axis (dimension dependent)
     "quadrature": 8,         # midpoint subsamples per polyline segment
 }
@@ -107,6 +105,9 @@ class SpacetimeModel:
     domain_box: Optional[np.ndarray] = None  # (n, 2) rows (lo, hi)
     resolutions: Dict[str, Optional[int]] = field(default_factory=dict)
     source: Optional[dict] = None  # raw model-file dict, kept for canonical dumps
+    # (key, path) of the latest decision sweep: is_causally_related and then
+    # max_weighted_length ask for the same pair, and share one sweep
+    _last_sweep: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension not in (2, 4):
@@ -451,8 +452,7 @@ def is_causally_related(p, q, model: SpacetimeModel) -> bool:
     _, ok = _segment_values(model, p[None, :], q[None, :], nsub=16, need_mask=True)
     if bool(ok[0]):
         return True
-    value = _lattice_best(model, p, q)[0]
-    return bool(np.isfinite(value))
+    return _diamond_path(model, p, q, int(model.resolutions["time_steps"]) // 2) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -484,134 +484,147 @@ def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8, need_mask: bool 
 
 
 # ---------------------------------------------------------------------------
-# causal lattice dynamic program
+# causal-diamond lattice in null coordinates
+
+# Lattice edges (a, b): a steps along u = t + sigma and b along v = t - sigma, out
+# of row i - a.  The moves within a row chain (0, 1) steps.
+DIAMOND_EDGES = tuple((a, b) for a in (1, 2) for b in (0, 1, 2))
+_PAD = 2  # the longest edge: -inf rows above and columns left of the padded tables
 
 
 @dataclass
-class LatticeField:
-    """Single-source table of best accumulated weighted lengths on a causal lattice.
+class DiamondField:
+    """Best accumulated weighted lengths from a source s on a causal lattice.
 
-    Nodes are (t_i, sigma_j) with sigma a 1-D spatial coordinate, embedded into the
-    model's coordinates by `embed`.  `back[i, j]` stores the shift taken to reach
-    node (i, j); -inf values are unreachable.
+    Node (i, j) sits at u = i * hu, v = j * hv, with u = (t - t_s) + sigma and
+    v = (t - t_s) - sigma, and sigma measured along the unit vector `direction`.
+    `value` is -inf at unreachable nodes and outside the domain; `pred` holds the
+    flat index of each node's predecessor on its best path.
     """
 
-    model: SpacetimeModel
-    ts: np.ndarray
-    sigmas: np.ndarray
+    source: np.ndarray
+    direction: np.ndarray
+    hu: float
+    hv: float
     value: np.ndarray
-    back: np.ndarray
-    embed: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pred: np.ndarray
 
-    def node_index(self, t: float, sigma: float) -> Tuple[int, int]:
-        ht = self.ts[1] - self.ts[0] if len(self.ts) > 1 else 1.0
-        i = int(np.clip(round((t - self.ts[0]) / ht), 0, len(self.ts) - 1))
-        hx = self.sigmas[1] - self.sigmas[0] if len(self.sigmas) > 1 else 1.0
-        j = int(np.clip(round((sigma - self.sigmas[0]) / hx), 0, len(self.sigmas) - 1))
-        return i, j
-
-    def value_at(self, t: float, sigma: float) -> float:
-        i, j = self.node_index(t, sigma)
-        return float(self.value[i, j])
-
-    def extract_path(self, i: int, j: int) -> np.ndarray:
-        """Coordinates of the best path into node (i, j), shape (i+1, n)."""
-        sig = [self.sigmas[j]]
-        jj = j
-        for row in range(i, 0, -1):
-            jj -= int(self.back[row, jj])
-            sig.append(self.sigmas[jj])
-        sig = np.array(sig[::-1])
-        return self.embed(self.ts[: i + 1], sig)
-
-
-def _build_lattice(model: SpacetimeModel, p: np.ndarray, t_end: float,
-                   sigma_lo: float, sigma_hi: float, *, nt: int,
-                   target_columns: int, target_sigma: Optional[float] = None,
-                   direction: Optional[np.ndarray] = None) -> LatticeField:
-    """Run the forward sweep from p up to t_end over the sigma window."""
-    n = model.dimension
-    if direction is None and n != 2:
-        raise ValueError("lattices above 2D need an embedding direction")
-
-    def embed(ts, sigmas):
-        # sigma is measured from the source: sigma = 0 embeds to p's spatial position
-        ts = np.asarray(ts, dtype=float)
-        sigmas = np.asarray(sigmas, dtype=float)
-        if n == 2:
-            return np.stack(np.broadcast_arrays(ts, p[1] + sigmas), axis=-1)
-        ts, sigmas = np.broadcast_arrays(ts, sigmas)
-        out = np.empty(ts.shape + (4,))
-        out[..., 0] = ts
-        out[..., 1:] = p[1:] + sigmas[..., None] * direction
+    def points(self, i, j) -> np.ndarray:
+        """Coordinates of the nodes (i, j); i and j broadcast."""
+        u, v = np.broadcast_arrays(np.multiply(i, self.hu), np.multiply(j, self.hv))
+        out = np.empty(u.shape + self.source.shape)
+        out[..., 0] = self.source[0] + 0.5 * (u + v)
+        out[..., 1:] = self.source[1:] + (0.5 * (u - v))[..., None] * self.direction
         return out
 
-    ts = np.linspace(p[0], t_end, nt)
-    ht = ts[1] - ts[0]
-    hx = min((sigma_hi - sigma_lo) / max(target_columns - 1, 1), ht)
-    if target_sigma is not None and abs(target_sigma) > 1e-12:
-        k = max(1, int(round(abs(target_sigma) / hx)))
-        hx = abs(target_sigma) / k
-    lo_idx = int(np.ceil((sigma_lo - 0.0) / hx - 1e-9))
-    hi_idx = int(np.floor((sigma_hi - 0.0) / hx + 1e-9))
-    sigmas = np.arange(lo_idx, hi_idx + 1) * hx
-    j0 = -lo_idx  # sigma = 0 is the source column
-    smax = max(1, int(np.floor(ht / hx + 1e-12)))
+    def node_below(self, points) -> Tuple[np.ndarray, np.ndarray]:
+        """Node (floor(u / hu), floor(v / hv)) of each point: in the point's causal past."""
+        pts = np.asarray(points, dtype=float)
+        dt = pts[..., 0] - self.source[0]
+        sigma = (pts[..., 1:] - self.source[1:]) @ self.direction
+        return tuple(np.clip(np.floor(x / h), 0, n - 1).astype(int) for x, h, n in
+                     zip((dt + sigma, dt - sigma), (self.hu, self.hv), self.value.shape))
 
-    J = len(sigmas)
-    value = np.full((nt, J), -np.inf)
-    back = np.zeros((nt, J), dtype=np.int32)
-    value[0, j0] = 0.0
+    def extract_path(self, i: int, j: int) -> np.ndarray:
+        """Coordinates of the best path from the source into node (i, j)."""
+        k = int(i) * self.value.shape[1] + int(j)
+        chain = [k]
+        while k:
+            k = int(self.pred.flat[k])
+            chain.append(k)
+        ii, jj = np.divmod(np.array(chain[::-1]), self.value.shape[1])
+        return self.points(ii, jj)
+
+
+def _edge_tails(padded: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
+    """View w[i, a - 1, b, j] = padded node (i - a, j - b), for every edge (a, b)."""
+    s_row, s_col = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded[_PAD - 1:, _PAD:], shape=(shape[0], 2, 3, shape[1]),
+        strides=(s_row, -s_row, -s_col, s_col), writeable=False)
+
+
+def _sweep(model: SpacetimeModel, p: np.ndarray, direction: np.ndarray, hu: float,
+           hv: float, shape: Tuple[int, int], t_max: float = np.inf) -> DiamondField:
+    """Forward DP from the source p (node (0, 0)) over the nodes of `shape`.
+
+    A row's nodes inside the domain box and no later than t_max form one run; the
+    rest hold -inf.  A row takes the best of its DIAMOND_EDGES candidates in one
+    array operation, then chains its own (0, 1) steps, which carry 0.  On
+    minkowski and conformal2d every edge is causal with speed sqrt(du dv) / omega,
+    so its value is the trapezoid rule of weight / omega at its ends, and the
+    in-row moves are one `np.maximum.accumulate`.  Elsewhere one `_segment_values`
+    call per row masks the edges, and only admissible in-row steps chain.
+    """
+    nu, nv = shape
+    padded = np.full((nu + _PAD, nv + _PAD), -np.inf)
+    fld = DiamondField(source=p, direction=direction, hu=hu, hv=hv,
+                       value=padded[_PAD:, _PAD:], pred=np.zeros(shape, dtype=np.int32))
+    value, pred = fld.value, fld.pred
+    cols = np.arange(nv)
+    pts = fld.points(np.arange(nu)[:, None], cols)
+    inside = model.in_domain(pts) & (pts[..., 0] <= t_max)
+    lo = np.argmax(inside, axis=1)
+    hi = np.where(inside.any(axis=1), nv - np.argmax(inside[:, ::-1], axis=1), 0)
+    tails = _edge_tails(padded, shape)
+    # node (i, j) takes edge k from the flat index i * nv + j - back[k]
+    back = np.array([a * nv + b for a, b in DIAMOND_EDGES])
+
     flat_cone = model.metric_kind in ("minkowski", "conformal2d")
-    shift_list = [s for s in range(-smax, smax + 1) if abs(s) * hx <= ht + 1e-12]
-    shifts = np.array(shift_list)
+    if flat_cone:
+        f = np.zeros((nu + _PAD, nv + _PAD))  # weight / omega; 0 off the domain
+        f[_PAD:, _PAD:][inside] = model.weight(pts[inside]) / model.omega(pts[inside])
+        f_tails = _edge_tails(f, shape)
+        half_speed = 0.5 * np.sqrt(np.outer([1, 2], [0, 1, 2]) * hu * hv)[..., None]
 
-    # Row i can only be live on the columns j0 +- smax*i, so each (row, shift) pair
-    # needs the edges leaving that window.  Edge values do not depend on the sweep,
-    # so the edges of consecutive pairs, taken row by row, share one _segment_values
-    # call of at most LATTICE_BLOCK_SEGMENTS edges (or of one pair's edges).
-    rows = np.arange(nt - 1)[:, None]
-    src_lo = np.maximum(j0 - smax * rows, np.maximum(0, -shifts)).ravel()
-    src_hi = np.minimum(j0 + smax * rows + 1, np.minimum(J, J - shifts)).ravel()
-    counts = np.maximum(src_hi - src_lo, 0)
-    ends = np.cumsum(counts)  # edges of pairs 0..g, inclusive
-    bounds = np.stack([src_lo, src_hi], axis=1).tolist()
-    n_shifts = len(shift_list)
-
-    g0 = 0
-    while g0 < len(counts):
-        done = ends[g0 - 1] if g0 else 0
-        g1 = max(g0 + 1, int(np.searchsorted(ends, done + LATTICE_BLOCK_SEGMENTS,
-                                             side="right")))
-        offsets = np.concatenate([[0], np.cumsum(counts[g0:g1])])
-        # edge e of pair g leaves column src_lo[g] + e
-        pair = np.repeat(np.arange(g0, g1), counts[g0:g1])
-        col = src_lo[pair] + np.arange(offsets[-1]) - offsets[pair - g0]
-        row = pair // n_shifts
-        a_pts = embed(ts[row], sigmas[col])
-        b_pts = embed(ts[row + 1], sigmas[col + shifts[pair % n_shifts]])
+    for i in range(nu):
         if flat_cone:
-            ev = _segment_values(model, a_pts, b_pts, nsub=1)
+            edges = half_speed * (f_tails[i] + f[_PAD + i, _PAD:])
+            runs = [lo[i], hi[i]]
         else:
-            ev, ok = _segment_values(model, a_pts, b_pts, nsub=1, need_mask=True)
-            ev = np.where(ok, ev, -np.inf)
+            edges, steps_ok = _masked_edges(model, pts, lo, hi, i)
+            runs = [lo[i], *(lo[i] + 1 + np.flatnonzero(~steps_ok)).tolist(), hi[i]]
+        cand = (tails[i] + edges).reshape(6, nv)
+        row, prow = value[i], pred[i]
+        row[:] = cand.max(axis=0)
+        prow[:] = i * nv + cols - back[cand.argmax(axis=0)]
+        row[:lo[i]] = row[hi[i]:] = -np.inf
+        if i == 0 and inside[0, 0]:
+            row[0] = 0.0
 
-        # the pairs of row r update row r + 1 in shift order; row r is final by then
-        offsets = offsets.tolist()
-        for g in range(g0, g1):
-            e0, e1 = offsets[g - g0], offsets[g - g0 + 1]
-            if e1 == e0:
-                continue
-            r, k = divmod(g, n_shifts)
-            (lo, hi), s = bounds[g], shift_list[k]
-            cand = value[r, lo:hi] + ev[e0:e1]
-            view_v = value[r + 1, lo + s:hi + s]
-            better = cand > view_v
-            np.copyto(view_v, cand, where=better)
-            np.copyto(back[r + 1, lo + s:hi + s], s, where=better)
-        g0 = g1
+        # moves within the row: null on the reference cone, so they carry 0
+        for s, e in zip(runs[:-1], runs[1:]):
+            acc = np.maximum.accumulate(row[s:e])
+            moved = acc > row[s:e]
+            if moved.any():
+                src = np.maximum.accumulate(np.where(moved, s, cols[s:e]))
+                prow[s:e][moved] = i * nv + src[moved]
+                row[s:e] = acc
+    return fld
 
-    return LatticeField(model=model, ts=ts, sigmas=sigmas, value=value, back=back, embed=embed)
+
+def _masked_edges(model: SpacetimeModel, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  i: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge values into row i (-inf where not causal) and its in-row step mask.
+
+    Only edges between nodes inside the domain are evaluated.
+    """
+    nv = pts.shape[1]
+    edges = np.full((2, 3, nv), -np.inf)
+    spans = [(a, b, max(lo[i], lo[i - a] + b), min(hi[i], hi[i - a] + b))
+             for a, b in DIAMOND_EDGES if a <= i]
+    spans = [s for s in spans if s[3] > s[2]]
+    run = pts[i, lo[i]:hi[i]]
+    starts = [pts[i - a, c0 - b:c1 - b] for a, b, c0, c1 in spans] + [run[:-1]]
+    ends = [pts[i, c0:c1] for _, _, c0, c1 in spans] + [run[1:]]
+    vals, ok = _segment_values(model, np.concatenate(starts), np.concatenate(ends),
+                               nsub=1, need_mask=True)
+    vals = np.where(ok, vals, -np.inf)
+    e0 = 0
+    for a, b, c0, c1 in spans:
+        edges[a - 1, b, c0:c1] = vals[e0:e0 + c1 - c0]
+        e0 += c1 - c0
+    return edges, ok[e0:]
 
 
 def _plane_frame(p: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -627,38 +640,32 @@ def _plane_frame(p: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, List[np.ndar
     return u, dirs
 
 
-def _lattice_best(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
-                  nt: Optional[int] = None) -> Tuple[float, Optional[np.ndarray]]:
-    """Lattice value and raw best path p->q (value -inf when the lattice can't reach q)."""
+def _diamond_path(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
+                  steps: int) -> Optional[np.ndarray]:
+    """Best lattice path p -> q over the flat reference cone's diamond J+(p) ∩ J-(q).
+
+    `steps` steps per null axis (none along an axis of zero length); in 4D the
+    diamond lies in the plane of the time axis and the direction p -> q.  None
+    when q is outside the reference cone or no lattice path reaches it.
+    """
+    key = (p.tobytes(), q.tobytes(), steps)
+    last = model._last_sweep
+    if last is not None and last[0] == key:
+        return last[1]
+    direction, _ = _plane_frame(p, q)
+    sigma = float(np.linalg.norm(q[1:] - p[1:]))
     dt = q[0] - p[0]
-    if dt <= 1e-9:
-        return -np.inf, None
-    nt = nt or int(model.resolutions["time_steps"])
-    cols = int(model.resolutions["space_steps"])
-    if model.dimension == 2:
-        direction = None
-        sigma_target = q[1] - p[1]
-        lo = max(model.domain_box[1, 0] - p[1], min(0.0, sigma_target) - dt)
-        hi = min(model.domain_box[1, 1] - p[1], max(0.0, sigma_target) + dt)
-    else:
-        direction, _ = _plane_frame(p, q)
-        sigma_target = float(np.linalg.norm(q[1:] - p[1:]))
-        lo, hi = min(0.0, sigma_target) - dt, max(0.0, sigma_target) + dt
-        # keep the embedded plane inside the coordinate box
-        for axis, ui in enumerate(direction, start=1):
-            if abs(ui) > 1e-12:
-                b0 = (model.domain_box[axis, 0] - p[axis]) / ui
-                b1 = (model.domain_box[axis, 1] - p[axis]) / ui
-                lo = max(lo, min(b0, b1))
-                hi = min(hi, max(b0, b1))
-    latt = _build_lattice(model, p, q[0], lo, hi, nt=nt, target_columns=cols,
-                          target_sigma=sigma_target if sigma_target else None,
-                          direction=direction)
-    i, j = latt.node_index(q[0], sigma_target)
-    val = float(latt.value[i, j])
-    if not np.isfinite(val):
-        return val, None
-    return val, latt.extract_path(i, j)
+    path = None
+    if dt - sigma >= -CONE_TOL:
+        extent = np.maximum([dt + sigma, dt - sigma], 0.0)
+        nu, nv = np.where(extent > 0, max(steps, 1), 0)
+        fld = _sweep(model, p, direction, extent[0] / max(nu, 1), extent[1] / max(nv, 1),
+                     (nu + 1, nv + 1))
+        if np.isfinite(fld.value[nu, nv]):
+            path = fld.extract_path(nu, nv)
+            path[0], path[-1] = p, q  # the corner nodes, without rounding
+    model._last_sweep = (key, path)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -812,38 +819,22 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
             return 0.0, _polyline_to_curve(np.stack([p, q]))
         return 0.0
 
-    candidates: List[Tuple[float, np.ndarray]] = []
-    _, chord_ok = _segment_values(model, p[None, :], q[None, :], nsub=max(nsub, 16),
-                                  need_mask=True)
-    if chord_ok[0]:
-        k = max(int(model.resolutions["time_steps"]) // 2, 32)
-        fr = np.linspace(0.0, 1.0, k)[:, None]
-        chord_nodes = p[None, :] + fr * (q - p)[None, :]
-        chord_val = float(np.sum(_segment_values(model, chord_nodes[:-1], chord_nodes[1:],
-                                                 nsub=nsub)))
-        candidates.append((chord_val, chord_nodes))
-
-    lat_val, lat_path = _lattice_best(model, p, q, nt=time_steps)
-    if lat_path is not None:
-        lat_path[-1] = q  # snap the terminal node onto the exact target
-        lat_poly_val = float(np.sum(_segment_values(model, lat_path[:-1], lat_path[1:],
-                                                    nsub=nsub)))
-        candidates.append((lat_poly_val, lat_path))
-
-    if not candidates:
-        raise NotRelatedError(f"no admissible lattice path from {p.tolist()} to {q.tolist()}")
-
-    hx = min(abs(dt) / max((time_steps or int(model.resolutions["time_steps"])) - 1, 1), 0.05)
-    best_val, best_nodes = -np.inf, None
-    for val, nodes in candidates:
-        if refine:
-            val, nodes = _refine_polyline(model, nodes, hx=max(hx, 1e-4), nsub=nsub)
-        if val > best_val:
-            best_val, best_nodes = val, nodes
+    nt = time_steps or int(model.resolutions["time_steps"])
+    steps = max(nt // 2, 1)
+    nodes = _diamond_path(model, p, q, steps)
+    if nodes is None:
+        # related through the straight chord alone: start from the diamond's diagonal
+        nodes = p + np.linspace(0.0, 1.0, steps + 1)[:, None] * (q - p)
+        nodes[-1] = q
+    if refine:
+        hx = min(abs(dt) / max(nt - 1, 1), 0.05)
+        value, nodes = _refine_polyline(model, nodes, hx=max(hx, 1e-4), nsub=nsub)
+    else:
+        value = float(np.sum(_segment_values(model, nodes[:-1], nodes[1:], nsub=nsub)))
 
     if return_curve:
-        return best_val, _polyline_to_curve(best_nodes)
-    return best_val
+        return value, _polyline_to_curve(nodes)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -851,16 +842,20 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
 
 
 def single_source_field(model: SpacetimeModel, p, t_max: float,
-                        *, time_steps: Optional[int] = None) -> LatticeField:
-    """One forward sweep from p covering the whole spatial box up to t_max (2D models).
+                        *, time_steps: Optional[int] = None) -> DiamondField:
+    """One forward sweep from p over the box part of its diamond up to t_max (2D models).
 
-    Cone-surface generation reads node values from this field and tops them up with
-    per-target straight-chord candidates; both are lower bounds on the supremum.
+    Node spacing is 2 * (t_max - t_p) / (time_steps - 1) along both null axes, so
+    the nodes take time_steps levels of t from t_p to t_max, and each axis needs
+    at most time_steps nodes.  Cone-surface generation reads the node below each
+    target and tops it up with a straight-chord candidate; both are lower bounds
+    on the supremum.
     """
     p = _as_point(p, model.dimension)
     model.require_in_domain(p)
     nt = time_steps or int(model.resolutions["time_steps"])
-    lo = model.domain_box[1, 0] - p[1]
-    hi = model.domain_box[1, 1] - p[1]
-    return _build_lattice(model, p, float(t_max), lo, hi, nt=nt,
-                          target_columns=int(model.resolutions["space_steps"]))
+    span = float(t_max) - p[0]
+    h = 2.0 * span / max(nt - 1, 1)
+    lo, hi = model.domain_box[1] - p[1]
+    shape = tuple(min(int(np.ceil((span + x) / h)) + 1, max(nt, 2)) for x in (hi, -lo))
+    return _sweep(model, p, np.array([1.0]), h, h, shape, t_max=float(t_max))

@@ -207,6 +207,20 @@ def test_dp_cone_off_lattice_source_stays_below_closed_form():
     assert excess.min() >= -2e-3
 
 
+def test_dp_cone_null_targets_get_no_budget():
+    # the chord to a target on the source's null lines is exactly null, so it adds
+    # nothing: no target may rise above the closed form
+    m = flat2(box=[[-5, 5], [-5, 5]])
+    axes = (np.linspace(-5, 5, 201), np.linspace(-5, 5, 201))
+    state = ((-4.7, -0.5), 0.5)
+    ref = future_cone(state, m, grid=axes, method="closed", validate=0)
+    got = future_cone(state, m, grid=axes, method="dp")
+    assert np.array_equal(got.reachable, ref.reachable)
+    reach = ref.reachable
+    assert np.all(got.weighted[reach] <= ref.weighted[reach] + 1e-9)
+    assert np.all(got.phi_max[reach] <= ref.phi_max[reach] + 1e-9)
+
+
 def test_cone_surface_rejections():
     with pytest.raises(ValueError):
         future_cone(((0.0, 0.0), 0.5), diag2())

@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from twosheet import geometry, modelfile
+from twosheet.causality import decide
 from twosheet.geometry import (
     CausalCurve,
     DomainError,
@@ -22,7 +24,7 @@ from twosheet.geometry import (
     straight_curve,
     validate_curve,
     weighted_length,
-    _build_lattice,
+    _diamond_path,
     _segment_values,
 )
 
@@ -279,29 +281,38 @@ def test_return_curve_is_admissible_and_matches():
 
 
 def test_single_source_field_is_certified_lower_bound():
-    # raw node values bound the supremum from below (they quantize slopes and
-    # lose the diagonal segments); the pointwise solver then refines
+    # raw node values bound the supremum from below (they quantize slopes); the
+    # pointwise solver then refines
     m = SpacetimeModel.conformal("1 + 0.15*sin(x)", mass=1.0,
                                  box=[[-2, 2], [-2, 2]],
                                  resolutions={"time_steps": 101, "space_steps": 101})
-    p = [-1.0, 0.0]
+    p = np.array([-1.0, 0.0])
     field = single_source_field(m, p, 1.8)
     for q in ([0.5, 0.3], [1.5, -0.4], [-0.5, 0.2]):
         best = max_weighted_length(p, q, m)
-        node = field.value_at(q[0], q[1] - p[1])
+        node = field.value[field.node_below(q)]
         assert 0.0 < node <= best + 1e-9
-    # spacelike-separated column stays unreachable
-    assert field.value_at(-0.9, 1.5) == -np.inf
+    # finite nodes are exactly the nodes in the box, in J+(p) and no later than t_max
+    pts = field.points(*np.indices(field.value.shape))
+    dt = pts[..., 0] - p[0]
+    assert np.all(np.abs(pts[..., 1] - p[1]) <= dt + 1e-12)
+    assert np.array_equal(np.isfinite(field.value), m.in_domain(pts) & (pts[..., 0] <= 1.8))
 
 
 def test_single_source_field_path_extraction():
     m = flat2()
     field = single_source_field(m, [0.0, 0.0], 2.0, time_steps=81)
-    i, j = field.node_index(2.0, 0.5)
+    i, j = 50, 30  # u = 2.5, v = 1.5: the node at (2.0, 0.5)
+    np.testing.assert_allclose(field.points(i, j), [2.0, 0.5], atol=1e-12)
     path = field.extract_path(i, j)
     np.testing.assert_allclose(path[0], [0.0, 0.0], atol=1e-12)
-    assert abs(path[-1][0] - 2.0) < 1e-9
-    assert np.all(np.diff(path[:, 0]) > 0)
+    np.testing.assert_array_equal(path[-1], field.points(i, j))
+    step = np.diff(path, axis=0)
+    assert np.all(step[:, 0] > 0)
+    assert np.all(np.abs(step[:, 1]) <= step[:, 0] + 1e-12)
+    # the stored value is the path's own edge sum
+    assert np.sum(_segment_values(m, path[:-1], path[1:], nsub=1)) == pytest.approx(
+        field.value[i, j], abs=1e-12)
 
 
 # every shipped model with an inter-sheet weight, with its chord speed: a
@@ -335,27 +346,84 @@ def test_refined_polyline_invariants(name, speed):
             assert val <= max_weighted_length(p, q, m, method="closed") + 1e-9
 
 
-@pytest.mark.parametrize("block", [geometry.LATTICE_BLOCK_SEGMENTS, 50])
-def test_lattice_reaches_the_discrete_cone_below_the_closed_form(block, monkeypatch):
-    monkeypatch.setattr(geometry, "LATTICE_BLOCK_SEGMENTS", block)
+def test_lattice_reaches_the_discrete_cone_below_the_closed_form():
     m = flat2()
     p = np.array([-1.0, 0.25])
-    # the off-axis target narrows the columns to hx = ht / 2, so each row offers
-    # five shifts; dyadic coordinates keep the null edges exactly null, so no
-    # rounding lifts a cone-boundary node above the closed form
-    lat = _build_lattice(m, p, 1.0, -2.25, 2.75, nt=33, target_columns=161,
-                         target_sigma=0.75)
-    ht = lat.ts[1] - lat.ts[0]
-    hx = lat.sigmas[1] - lat.sigmas[0]
-    smax = int(np.floor(ht / hx + 1e-12))
-    assert smax == 2
-    i, j = np.meshgrid(np.arange(len(lat.ts)), np.arange(len(lat.sigmas)), indexing="ij")
-    j0 = int(np.argmin(np.abs(lat.sigmas)))
-    finite = np.isfinite(lat.value)
-    assert np.array_equal(finite, np.abs(j - j0) <= smax * i)
-    dt = lat.ts[:, None] - p[0]
-    closed = np.sqrt(np.clip(dt ** 2 - lat.sigmas[None, :] ** 2, 0.0, None))
-    assert np.all(lat.value[finite] <= closed[finite] + 1e-12)
+    # dyadic coordinates keep the null edges exactly null, so no rounding lifts a
+    # cone-boundary node above the closed form
+    field = single_source_field(m, p, 1.0, time_steps=33)
+    assert field.hu == field.hv == 0.125
+    pts = field.points(*np.indices(field.value.shape))
+    finite = np.isfinite(field.value)
+    assert np.array_equal(finite, m.in_domain(pts) & (pts[..., 0] <= 1.0))
+    dt = pts[..., 0] - p[0]
+    closed = np.sqrt(np.clip(dt ** 2 - (pts[..., 1] - p[1]) ** 2, 0.0, None))
+    assert np.all(field.value[finite] <= closed[finite] + 1e-12)
+    # every node on the source's null lines carries exactly 0
+    assert np.all(field.value[0, :][finite[0, :]] == 0.0)
+    assert np.all(field.value[:, 0][finite[:, 0]] == 0.0)
+
+
+LATTICE_2D_MODELS = ["cone2d", "conformal2d", "flat2d", "scalar2d"]
+
+
+@pytest.mark.parametrize("name", LATTICE_2D_MODELS)
+def test_diamond_sweep_reaches_every_related_pair(name):
+    # near-null and near-vertical pairs included: p and q are the diamond's corners
+    m = modelfile.load(os.path.join(MODELS, f"{name}.json"))
+    box = m.domain_box
+    steps = int(m.resolutions["time_steps"]) // 2
+    rng = np.random.default_rng(40)
+    slopes = np.concatenate([rng.uniform(-1, 1, 28), [1.0, -1.0, 1 - 1e-9, -1 + 1e-9],
+                             [1e-4, -1e-4, 1e-7, -1e-9, 0.0], [1 - 1e-6, 0.999, -0.999]])
+    assert len(slopes) == 40
+    for slope in slopes:
+        p = box[:, 0] + rng.uniform(0.05, 0.5, 2) * (box[:, 1] - box[:, 0])
+        dt = rng.uniform(0.05, 0.95) * (box[0, 1] - p[0])
+        dt = min(dt, (box[1, 1] - p[1] if slope > 0 else p[1] - box[1, 0]) / max(abs(slope), 1e-12))
+        q = p + np.array([dt, slope * dt])
+        assert is_causally_related(p, q, m)
+        path = _diamond_path(m, p, q, steps)
+        assert path is not None, (p, q)
+        np.testing.assert_array_equal(path[0], p)
+        np.testing.assert_array_equal(path[-1], q)
+
+
+def test_near_vertical_pair_decides_fast():
+    m = modelfile.load(os.path.join(MODELS, "scalar2d.json"))
+    t0 = time.monotonic()
+    dec = decide(((0.0, 0.0), 0.2), ((2.0, 1e-4), 0.5), m, method="dp")
+    assert time.monotonic() - t0 < 5.0
+    assert dec.related
+    # the straight vertical chord gives 2 + 2^2 / 2 = 4
+    assert 4.0 - 1e-6 <= dec.achieved <= 4.0
+
+
+VIELBEIN_PAIR = ((-2.0, -2.0, 0.0, 0.0), (2.0, 1.3, 0.0, 0.0))
+
+
+def test_vielbein_pair_with_a_spacelike_chord_is_related():
+    # the chord's speed 0.825 exceeds the x light speed 1 + 0.1 t at early times
+    m = modelfile.load(os.path.join(MODELS, "vielbein4d.json"))
+    p, q = map(np.array, VIELBEIN_PAIR)
+    _, chord_ok = _segment_values(m, p[None], q[None], nsub=16, need_mask=True)
+    assert not chord_ok[0]
+    assert is_causally_related(p, q, m) is True
+    val, curve = max_weighted_length(p, q, m, return_curve=True)
+    assert validate_curve(curve, m).passed
+    assert val > 0.0
+    assert weighted_length(curve, m) == pytest.approx(val, rel=1e-3)  # Simpson vs midpoints
+
+
+def test_decision_sweeps_once(monkeypatch):
+    m = modelfile.load(os.path.join(MODELS, "vielbein4d.json"))
+    calls = []
+    sweep = geometry._sweep
+    monkeypatch.setattr(geometry, "_sweep", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+    p, q = VIELBEIN_PAIR
+    dec = decide((p, 0.0), (q, 0.5), m, method="dp")
+    assert dec.related
+    assert len(calls) == 1
 
 
 def test_4d_closed_form():

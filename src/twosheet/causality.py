@@ -10,22 +10,23 @@ report both legs, the achieved/required budget, and the comparison method.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .expressions import Expression, parse_expression
 from .geometry import (
-    CONE_TOL,
     DomainError,
     MixedState,
+    NotRelatedError,
     SpacetimeModel,
+    _in_reference_cone,
     _resolve_method,
+    _segment_values,
     is_causally_related,
     max_weighted_length,
     single_source_field,
-    _segment_values,
 )
 
 __all__ = [
@@ -114,24 +115,21 @@ def decide(state1, state2, model: SpacetimeModel, *, method: str = "auto",
     s1 = _as_state(state1)
     s2 = _as_state(state2)
     model.require_in_domain(s1.point, s2.point)
-    base = is_causally_related(s1.point, s2.point, model)
-
     if model.mass_kind == "diagonal":
-        return _diagonal_decision(s1, s2, base)
+        return _diagonal_decision(s1, s2, is_causally_related(s1.point, s2.point, model))
 
     used = _resolve_method(model, method)
     band = tol if tol is not None else (
         CLOSED_DECISION_TOL if used == "closed" else DP_DECISION_TOL)
     required = required_proper_time(s1.xi, s2.xi, model)
 
-    achieved = 0.0
-    if base:
-        weighted = max_weighted_length(s1.point, s2.point, model, method=used)
-        if model.mass_kind == "constant":
-            am = abs(model.mass)
-            achieved = weighted / am if am > 0 else 0.0
-        else:
-            achieved = weighted
+    try:  # the base relation is max_weighted_length's first step
+        achieved, base = max_weighted_length(s1.point, s2.point, model, method=used), True
+    except NotRelatedError:
+        achieved, base = 0.0, False
+    if model.mass_kind == "constant":
+        am = abs(model.mass)
+        achieved = achieved / am if am > 0 else 0.0
 
     related = bool(base and achieved >= required - COMPARISON_TOL)
     marginal = bool(base and np.isfinite(required) and abs(achieved - required) <= band)
@@ -199,7 +197,7 @@ def _closed_cone_budget(model: SpacetimeModel, p: np.ndarray,
                         pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     dt = pts[:, 0] - p[0]
     r = np.linalg.norm(pts[:, 1:] - p[1:], axis=-1)
-    reach = (dt >= -CONE_TOL) & (r <= dt + CONE_TOL)
+    reach = _in_reference_cone(dt, r)
     weighted = abs(model.mass) * np.sqrt(np.clip(dt * dt - r * r, 0.0, None))
     return weighted, reach
 
@@ -225,9 +223,7 @@ def _dp_cone_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
     if model.dimension != 2:
         raise NotImplementedError(
             "cone surfaces need a 1+1 lattice; evaluate decide per target in 4D")
-    dt = pts[:, 0] - p[0]
-    r = np.abs(pts[:, 1] - p[1])
-    reach = (dt >= -CONE_TOL) & (r <= dt + CONE_TOL)
+    reach = _in_reference_cone(pts[:, 0] - p[0], np.abs(pts[:, 1] - p[1]))
 
     chord_vals, chord_ok = _chord_budget(model, p, pts)
     weighted = np.where(reach & chord_ok, chord_vals, -np.inf)

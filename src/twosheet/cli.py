@@ -64,21 +64,6 @@ def _json_token(v) -> str:
     raise TypeError(f"unsupported JSON value {v!r}")
 
 
-def _json_text(v, indent: int = 0) -> str:
-    pad = " " * indent
-    if isinstance(v, dict):
-        rows = [f"{pad}  {json.dumps(k)}: {_json_text(val, indent + 2).lstrip()}"
-                for k, val in v.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(v, (list, tuple, np.ndarray)):
-        items = list(v)
-        if all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in items):
-            return "[" + ", ".join(_json_token(x) for x in items) + "]"
-        rows = [f"{pad}  {_json_text(x, indent + 2)}" for x in items]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    return _json_token(v)
-
-
 def _emit(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
@@ -210,7 +195,7 @@ def _cmd_decide(args) -> int:
         "slack": d.slack,
         "band": d.band,
     }
-    _emit(_json_text(doc) + "\n", args.out)
+    _emit(modelfile._json_layout(doc, _json_token) + "\n", args.out)
     return 0
 
 
@@ -308,7 +293,7 @@ def _cmd_witness(args) -> int:
         rows.append(f"{_fmt(t)},{coords},{_fmt(wp.a_samples[i])},"
                     f"{_fmt(wp.b_samples[i])},{_fmt(wp.theta[i])}")
     _emit("\n".join(rows) + "\n", args.out)
-    _emit(_json_text(report) + "\n", args.report)
+    _emit(modelfile._json_layout(report, _json_token) + "\n", args.report)
     return 0 if report["certified"] else 2
 
 
@@ -355,7 +340,7 @@ def _cmd_oracle(args) -> int:
         "min_witness_margin": min_margin if np.isfinite(min_margin) else None,
         "consistent": kinds["contradiction"] == 0,
     }
-    _emit(_json_text(summary) + "\n", args.out)
+    _emit(modelfile._json_layout(summary, _json_token) + "\n", args.out)
     if bad_rows and args.artifacts:
         names = _AXIS_NAMES[model.dimension]
         header = ",".join([f"p_{n}" for n in names] + [f"q_{n}" for n in names]

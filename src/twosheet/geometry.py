@@ -19,12 +19,16 @@ then moves single nodes sideways in red/black sweeps (all odd nodes, then all ev
 ones), one batch or colour per `_segment_values` call.  The refined value is a
 certified lower bound that converges as the lattice refines; a pure lattice path
 underestimates because of velocity quantization, so refinement is not optional.
+Whether p precedes q is decided once per pair, at the lattice resolution in use:
+on vielbein4d a non-causal chord leaves it to the diamond lattice, whose path
+then seeds the refinement, so `max_weighted_length(time_steps=N)` decides at N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +86,7 @@ def _as_point(p, dimension: int) -> np.ndarray:
 # models
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpacetimeModel:
     """Geometry + mass data for a two-sheeted space-time over a coordinate box.
 
@@ -91,7 +95,8 @@ class SpacetimeModel:
 
     The diagonal kind means the internal operator has no off-diagonal part, so no
     inter-sheet weight exists; decision logic special-cases it and the weighted
-    functionals refuse to run.
+    functionals refuse to run.  Models are immutable: domain_box is a read-only
+    array and resolutions a read-only mapping.
     """
 
     dimension: int
@@ -103,11 +108,8 @@ class SpacetimeModel:
     mass_field: Optional[Expression] = None
     vector_potentials: Optional[Tuple[Sequence[Expression], Sequence[Expression]]] = None
     domain_box: Optional[np.ndarray] = None  # (n, 2) rows (lo, hi)
-    resolutions: Dict[str, Optional[int]] = field(default_factory=dict)
+    resolutions: Mapping[str, Optional[int]] = field(default_factory=dict)
     source: Optional[dict] = None  # raw model-file dict, kept for canonical dumps
-    # (key, path) of the latest decision sweep: is_causally_related and then
-    # max_weighted_length ask for the same pair, and share one sweep
-    _last_sweep: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension not in (2, 4):
@@ -126,17 +128,17 @@ class SpacetimeModel:
             raise ValueError("vielbein4d metric needs 16 frame expressions")
         if self.mass_kind == "scalar" and self.mass_field is None:
             raise ValueError("scalar mass needs a field expression")
-        if self.domain_box is None:
-            self.domain_box = np.array([[-5.0, 5.0]] * self.dimension)
-        else:
-            self.domain_box = np.asarray(self.domain_box, dtype=float).reshape(self.dimension, 2)
-            if np.any(self.domain_box[:, 0] >= self.domain_box[:, 1]):
-                raise ValueError("domain box must have lo < hi on every axis")
+        box = [[-5.0, 5.0]] * self.dimension if self.domain_box is None else self.domain_box
+        box = np.array(box, dtype=float).reshape(self.dimension, 2)  # a private copy
+        if np.any(box[:, 0] >= box[:, 1]):
+            raise ValueError("domain box must have lo < hi on every axis")
+        box.flags.writeable = False
         merged = dict(DEFAULT_RESOLUTIONS)
         merged.update(self.resolutions)
         if merged["certification"] is None:
             merged["certification"] = 101 if self.dimension == 2 else 17
-        self.resolutions = merged
+        object.__setattr__(self, "domain_box", box)
+        object.__setattr__(self, "resolutions", MappingProxyType(merged))
 
     # -- constructors -------------------------------------------------------
 
@@ -435,24 +437,39 @@ def cumulative_weighted_length(curve: CausalCurve, model: SpacetimeModel) -> np.
 # causal order between points
 
 
+def _in_reference_cone(dt, r):
+    """Displacements (dt, spatial length r) in the closed flat cone, to CONE_TOL."""
+    return (dt >= -CONE_TOL) & (r <= dt + CONE_TOL)
+
+
+def _relation(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
+              steps: int) -> Tuple[bool, Optional[np.ndarray]]:
+    """(p precedes q, lattice path p -> q) at `steps` lattice steps per null axis.
+
+    Conformal factors keep the flat cone; vielbein4d accepts a causal straight
+    chord, else sweeps the diamond.  A relation without a path is the chord's.
+    """
+    dt = q[0] - p[0]
+    r = np.linalg.norm(q[1:] - p[1:])
+    if model.metric_kind in ("minkowski", "conformal2d"):
+        return bool(_in_reference_cone(dt, r)), None
+    if dt < -CONE_TOL:
+        return False, None
+    if r <= 1e-14 and abs(dt) <= 1e-14:
+        return True, None
+    _, ok = _segment_values(model, p[None, :], q[None, :], nsub=16, need_mask=True)
+    if bool(ok[0]):
+        return True, None
+    path = _diamond_path(model, p, q, steps)
+    return path is not None, path
+
+
 def is_causally_related(p, q, model: SpacetimeModel) -> bool:
     """True iff a future-directed causal curve joins p to q."""
     p = _as_point(p, model.dimension)
     q = _as_point(q, model.dimension)
     model.require_in_domain(p, q)
-    dt = q[0] - p[0]
-    if model.metric_kind in ("minkowski", "conformal2d"):
-        # conformal factors preserve the cone order, so both cases are flat cones
-        return bool(dt >= -CONE_TOL and np.linalg.norm(q[1:] - p[1:]) <= dt + CONE_TOL)
-    if dt < -CONE_TOL:
-        return False
-    if np.linalg.norm(q[1:] - p[1:]) <= 1e-14 and abs(dt) <= 1e-14:
-        return True
-    # curved 4D: accept if the straight chord is causal, else ask the lattice
-    _, ok = _segment_values(model, p[None, :], q[None, :], nsub=16, need_mask=True)
-    if bool(ok[0]):
-        return True
-    return _diamond_path(model, p, q, int(model.resolutions["time_steps"]) // 2) is not None
+    return _relation(model, p, q, max(int(model.resolutions["time_steps"]) // 2, 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -648,23 +665,19 @@ def _diamond_path(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
     diamond lies in the plane of the time axis and the direction p -> q.  None
     when q is outside the reference cone or no lattice path reaches it.
     """
-    key = (p.tobytes(), q.tobytes(), steps)
-    last = model._last_sweep
-    if last is not None and last[0] == key:
-        return last[1]
     direction, _ = _plane_frame(p, q)
     sigma = float(np.linalg.norm(q[1:] - p[1:]))
     dt = q[0] - p[0]
-    path = None
-    if dt - sigma >= -CONE_TOL:
-        extent = np.maximum([dt + sigma, dt - sigma], 0.0)
-        nu, nv = np.where(extent > 0, max(steps, 1), 0)
-        fld = _sweep(model, p, direction, extent[0] / max(nu, 1), extent[1] / max(nv, 1),
-                     (nu + 1, nv + 1))
-        if np.isfinite(fld.value[nu, nv]):
-            path = fld.extract_path(nu, nv)
-            path[0], path[-1] = p, q  # the corner nodes, without rounding
-    model._last_sweep = (key, path)
+    if not _in_reference_cone(dt, sigma):
+        return None
+    extent = np.maximum([dt + sigma, dt - sigma], 0.0)
+    nu, nv = np.where(extent > 0, max(steps, 1), 0)
+    fld = _sweep(model, p, direction, extent[0] / max(nu, 1), extent[1] / max(nv, 1),
+                 (nu + 1, nv + 1))
+    if not np.isfinite(fld.value[nu, nv]):
+        return None
+    path = fld.extract_path(nu, nv)
+    path[0], path[-1] = p, q  # the corner nodes, without rounding
     return path
 
 
@@ -799,11 +812,15 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
     Closed form on flat constant-mass models; causal-lattice DP plus polyline
     refinement otherwise (a certified lower bound).  method='dp' forces the lattice
     even where the closed form applies; 'closed' demands it.  Raises NotRelatedError
-    when no causal curve exists.
+    when p does not precede q, as decided at time_steps.
     """
     p = _as_point(p, model.dimension)
     q = _as_point(q, model.dimension)
-    if not is_causally_related(p, q, model):
+    model.require_in_domain(p, q)
+    nt = time_steps or int(model.resolutions["time_steps"])
+    steps = max(nt // 2, 1)
+    related, nodes = _relation(model, p, q, steps)
+    if not related:
         raise NotRelatedError(f"{p.tolist()} does not precede {q.tolist()}")
 
     dt = q[0] - p[0]
@@ -819,11 +836,10 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
             return 0.0, _polyline_to_curve(np.stack([p, q]))
         return 0.0
 
-    nt = time_steps or int(model.resolutions["time_steps"])
-    steps = max(nt // 2, 1)
-    nodes = _diamond_path(model, p, q, steps)
     if nodes is None:
-        # related through the straight chord alone: start from the diamond's diagonal
+        nodes = _diamond_path(model, p, q, steps)
+    if nodes is None:
+        # the relation came from the causal straight chord: start from the diagonal
         nodes = p + np.linspace(0.0, 1.0, steps + 1)[:, None] * (q - p)
         nodes[-1] = q
     if refine:

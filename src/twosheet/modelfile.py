@@ -25,7 +25,7 @@ dumping again is byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -194,8 +194,8 @@ def loads(text: str) -> SpacetimeModel:
         if not isinstance(tol, dict):
             raise ModelFileError("expected an object", "tolerances", _line_of(text, "tolerances"))
         for k, v in tol.items():
-            if k not in ("decision_band", "psd"):
-                raise ModelFileError("unknown tolerance (expected decision_band or psd)",
+            if k != "decision_band":
+                raise ModelFileError("unknown tolerance (expected decision_band)",
                                      f"tolerances.{k}", _line_of(text, k))
             if not isinstance(v, (int, float)) or not v > 0:
                 raise ModelFileError("must be a positive number", f"tolerances.{k}",
@@ -226,18 +226,19 @@ def model_tolerances(model: SpacetimeModel) -> Dict[str, float]:
     return {}
 
 
-def _emit(value, indent: int) -> str:
+def _json_layout(value, scalar: Callable[[object], str], indent: int = 0) -> str:
+    """One key or nested item per line, flat lists inline; scalar formats the rest."""
     pad = " " * indent
     if isinstance(value, dict):
-        rows = [f'{pad}  {json.dumps(k)}: {_emit(v, indent + 2).lstrip()}'
+        rows = [f"{pad}  {json.dumps(k)}: {_json_layout(v, scalar, indent + 2).lstrip()}"
                 for k, v in value.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
-            return "[" + ", ".join(json.dumps(v) for v in value) + "]"
-        rows = [f"{pad}  {_emit(v, indent + 2)}" for v in value]
+    if isinstance(value, (list, tuple, np.ndarray)):
+        if all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in value):
+            return "[" + ", ".join(scalar(x) for x in value) + "]"
+        rows = [f"{pad}  {_json_layout(x, scalar, indent + 2)}" for x in value]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    return json.dumps(value)
+    return scalar(value)
 
 
 def dumps(model: SpacetimeModel) -> str:
@@ -264,7 +265,7 @@ def dumps(model: SpacetimeModel) -> str:
     tols = model_tolerances(model)
     if tols:
         doc["tolerances"] = tols
-    return _emit(doc, 0) + "\n"
+    return _json_layout(doc, json.dumps) + "\n"
 
 
 def dump(model: SpacetimeModel, path: str):

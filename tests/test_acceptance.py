@@ -157,8 +157,7 @@ def test_criterion_05_spinor_system():
 
 
 def test_criterion_06_diagonal_internal_operator():
-    m = SpacetimeModel.minkowski(2, mass=1.0, box=[[-4, 4], [-4, 4]])
-    m.mass_kind = "diagonal"
+    m = SpacetimeModel.minkowski(2, mass=1.0, box=[[-4, 4], [-4, 4]], mass_kind="diagonal")
     rng = np.random.default_rng(20260606)
     agree = 0
     for _ in range(1000):

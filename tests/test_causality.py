@@ -18,9 +18,7 @@ def flat2(mass=1.0, box=None):
 
 
 def diag2():
-    m = flat2()
-    m.mass_kind = "diagonal"
-    return m
+    return SpacetimeModel.minkowski(2, mass=1.0, mass_kind="diagonal")
 
 
 # ---------------------------------------------------------------------------

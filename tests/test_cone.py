@@ -361,11 +361,10 @@ def test_saturation_bound_formula():
 
 
 def test_vector_term_commutes_exactly():
-    m = SpacetimeModel.minkowski(2, mass=1.0)
-    m.vector_potentials = (
+    m = SpacetimeModel.minkowski(2, mass=1.0, vector_potentials=(
         tuple(parse_expression(s) for s in ("0.3*t", "0.1*x")),
         tuple(parse_expression(s) for s in ("x", "0.2")),
-    )
+    ))
     pair = CausalElementPair.from_expressions("t + 0.1*x", "t - 0.2*x", 2)
     grid = certification_grid(m, per_axis=31)
     assert verify_vector_noop(m, pair, grid) == 0.0

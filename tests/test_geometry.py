@@ -1,5 +1,6 @@
 """Space-time models, causal curves, and the weighted proper-time maximizer."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -73,6 +74,19 @@ def test_certification_default_depends_on_dimension():
     assert flat4().resolutions["certification"] == 17
 
 
+def test_models_are_immutable():
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    m = SpacetimeModel.minkowski(2, box=box)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.mass_kind = "diagonal"
+    with pytest.raises(ValueError):
+        m.domain_box[0, 0] = -3.0
+    with pytest.raises(TypeError):
+        m.resolutions["time_steps"] = 3
+    box[0, 0] = -3.0  # the model keeps its own copy of the box
+    assert m.domain_box[0, 0] == -1.0
+
+
 def test_domain_checks():
     m = flat2(box=1.0)
     assert m.in_domain([0.5, -0.5])
@@ -101,17 +115,15 @@ def test_conformal_factor_must_be_positive():
 
 
 def test_scalar_weight_magnitude():
-    m = SpacetimeModel.minkowski(2, mass=1.0)
-    m.mass_kind = "scalar"
     from twosheet.expressions import parse_expression
-    m.mass_field = parse_expression("1 + t")
+    m = SpacetimeModel.minkowski(2, mass=1.0, mass_kind="scalar",
+                                 mass_field=parse_expression("1 + t"))
     pts = np.array([[0.0, 0.0], [2.0, 1.0], [-3.0, 0.0]])
     np.testing.assert_allclose(m.weight(pts), [1.0, 3.0, 2.0])
 
 
 def test_diagonal_weight_rejected_but_mass_vanishes():
-    m = SpacetimeModel.minkowski(2, mass=1.0)
-    m.mass_kind = "diagonal"
+    m = SpacetimeModel.minkowski(2, mass=1.0, mass_kind="diagonal")
     pts = np.array([[0.0, 0.0]])
     assert m.mass_at(pts)[0] == 0.0
     with pytest.raises(ValueError):

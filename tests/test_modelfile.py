@@ -20,7 +20,7 @@ CONFORMAL = """{
   "mass": {"kind": "constant", "re": 0.8, "im": 0.6},
   "domain": {"box": [[-3.0, 3.0], [-3.0, 3.0]]},
   "resolutions": {"time_steps": 201, "space_steps": 201},
-  "tolerances": {"decision_band": 0.002, "psd": 1e-10}
+  "tolerances": {"decision_band": 0.002}
 }"""
 
 VIELBEIN = """{
@@ -51,7 +51,7 @@ def test_conformal_model_loads_with_options():
     assert m.mass == 0.8 + 0.6j
     assert m.resolutions["time_steps"] == 201
     assert m.conformal_factor.evaluate(t=0.0, x=0.0) == pytest.approx(1.0)
-    assert model_tolerances(m) == {"decision_band": 0.002, "psd": 1e-10}
+    assert model_tolerances(m) == {"decision_band": 0.002}
 
 
 def test_vielbein_model_loads():
@@ -108,7 +108,7 @@ def test_resolution_floors():
     (lambda s: s.replace("[[-5.0, 5.0], [-5.0, 5.0]]", "[[-5.0, 5.0]]"), "domain.box"),
     (lambda s: s.replace("[[-5.0, 5.0], [-5.0, 5.0]]",
                          "[[-5.0, 5.0], [5.0, -5.0]]"), "domain.box"),
-    (lambda s: s[:-2] + ', "tolerances": {"psd": -1}}', "tolerances.psd"),
+    (lambda s: s[:-2] + ', "tolerances": {"decision_band": -1}}', "tolerances.decision_band"),
     (lambda s: s[:-2] + ', "tolerances": {"foo": 1}}', "tolerances.foo"),
 ], ids=["dimension", "unknown-key", "metric-shape", "metric-kind", "mass-re",
         "mass-kind", "box-rows", "box-order", "tolerance-sign", "tolerance-name"])
@@ -118,6 +118,14 @@ def test_error_carries_key(mangle, key):
     assert err.value.key == key
     assert err.value.line >= 1
     assert f'key "{key}"' in str(err.value)
+
+
+def test_psd_tolerance_is_an_unknown_key():
+    with pytest.raises(ModelFileError) as err:
+        loads(CONFORMAL.replace('"decision_band": 0.002', '"psd": 1e-10'))
+    assert err.value.key == "tolerances.psd"
+    assert err.value.line == 7  # the tolerances block's line
+    assert "unknown tolerance" in str(err.value)
 
 
 def test_error_line_points_at_the_offending_text():

@@ -84,8 +84,7 @@ def test_zero_amplitude_draw_degenerates_to_time(model):
 def test_sampling_rejections(model):
     with pytest.raises(ValueError):
         sample_causal_elements(model, 0, 1)
-    diag = SpacetimeModel.minkowski(2, mass=1.0)
-    diag.mass_kind = "diagonal"
+    diag = SpacetimeModel.minkowski(2, mass=1.0, mass_kind="diagonal")
     with pytest.raises(ValueError):
         sample_causal_elements(diag, 3, 1)
 

@@ -2,10 +2,16 @@
 
 The decision procedure says two states are related; the definition says every cone
 element must then be non-decreasing between them.  This module samples random cone
-elements (a global time function plus Gaussian-windowed cosine bumps, scaled by the
-largest shrink that keeps the obstruction matrix PSD on a grid, solved in closed form
-per grid point) and evaluates the defining inequality directly, hunting for
-contradictions the main code path cannot see.
+elements (a global time function T plus Gaussian-windowed cosine bumps, scaled by the
+largest shrink that keeps the obstruction matrix PSD on a grid) and evaluates the
+defining inequality directly, hunting for contradictions the main code path cannot see.
+
+The shrink is exact per grid point.  A local Lorentz boost L acts on the obstruction
+matrix by a spin congruence, diag(S, S)^H M(fa, fb, z) diag(S, S) = M(L fa, L fb, z),
+which keeps PSD-ness.  In the rest frame of dT, T's blocks are tau * I, so
+T + s * bumps is PSD iff 1 + s * lambda >= 0 for every eigenvalue lambda of the
+boosted bumps over tau: one smallest-eigenvalue sweep gives the largest s.  The boost
+exists only where dT is future timelike, which sampling requires on the whole grid.
 """
 
 from __future__ import annotations
@@ -18,14 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import SpinRepresentation, make_representation
+from .clifford import make_representation
 from .cone import (
     OBSTRUCTION_BLOCKS_4D,
     CausalElementPair,
     FunctionField,
-    _assemble,
     _block_generators,
-    _blocks_2d,
     _min_eigenvalues,
     certification_grid,
     ordering_gap,
@@ -121,17 +125,32 @@ def _combination_field(construction: Dict[str, np.ndarray], which: str) -> Funct
 # exact shrink on the affine family M(s) = M_time + s * M_bumps
 
 
+def _rest_frame(fT: np.ndarray, fa: np.ndarray, fb: np.ndarray, z: np.ndarray):
+    """(fa, fb, z) over tau = |fT|, with fa and fb boosted to the rest frame of the
+    future timelike fT: the pure boost along u = fT / tau takes fT to (tau, 0, ...)."""
+    tau = np.sqrt(fT[:, 0] ** 2 - np.sum(fT[:, 1:] ** 2, axis=-1))[:, None]
+    u0, u = fT[:, :1] / tau, fT[:, 1:] / tau
+
+    def boost(f):
+        f0, fs = f[:, :1], f[:, 1:]
+        uf = np.sum(u * fs, axis=-1, keepdims=True)
+        return np.concatenate([u0 * f0 - uf, fs - u * (f0 - uf / (1.0 + u0))], axis=-1) / tau
+
+    return boost(fa), boost(fb), z / tau[:, 0]
+
+
 class _GridContext:
     """Element-independent data on the certification grid, computed once.
 
     The obstruction matrix is linear in the frame gradients (fa, fb) and the coupling
-    z, so cone.py's block assemblers build the time function's blocks (fa = fb = fT,
-    z = 0), a draw's bump blocks, and their sum at any shrink.  Each draw maps its
-    gradients with `SpacetimeModel.to_frame`: re-evaluating a vielbein table costs
-    a small fraction of a draw, and the table is not held for the whole run.
+    z, so T's blocks (fa = fb = fT, z = 0) plus s times a draw's bump blocks give the
+    element's blocks.  The shrink boosts each point to the rest frame of fT, which
+    needs fT future timelike on the whole grid.  Each draw maps its gradients with
+    `SpacetimeModel.to_frame`: re-evaluating a vielbein table costs a small fraction
+    of a draw, and the table is not held for the whole run.
     """
 
-    def __init__(self, model: SpacetimeModel, rep: SpinRepresentation, grid: np.ndarray):
+    def __init__(self, model: SpacetimeModel, grid: np.ndarray):
         self.model = model
         self.grid = grid
         self.mass = model.mass_at(grid)
@@ -140,13 +159,13 @@ class _GridContext:
         e0[:, 0] = 1.0
         fT = model.to_frame(grid, e0)
         if np.min(fT[:, 0] - np.linalg.norm(fT[:, 1:], axis=-1)) <= 0.0:
-            # the exact shrink factors the time function's blocks, so they must be
-            # positive definite: a null slicing is as unusable as a spacelike one
+            # the exact shrink boosts to the rest frame of dT, so dT must be future
+            # timelike: a null slicing is as unusable as a spacelike one
             raise ValueError("the coordinate time function is not causal for this model; "
                              "oracle sampling needs a causal time slicing")
         self.fT = fT
-        self.generators = (None if model.dimension == 2
-                           else _block_generators(rep, OBSTRUCTION_BLOCKS_4D))
+        self.generators = (None if model.dimension == 2 else _block_generators(
+            make_representation(model.dimension), OBSTRUCTION_BLOCKS_4D))
 
     def perturbation(self, c: Dict[str, np.ndarray]):
         """Frame gradients (fa, fb) and coupling z of a draw's bumps on the grid."""
@@ -155,69 +174,24 @@ class _GridContext:
         fa, fb = self.model.to_frame(self.grid, np.stack([ga, gb]))
         return fa, fb, self.mass * (V @ c["amp_a"] - V @ c["amp_b"])
 
+    def _grid_min(self, block) -> float:
+        """Smallest obstruction eigenvalue of (fa, fb, z) = block(sl) over the grid's
+        point slices; NaN if any is NaN."""
+        return float(np.min([
+            _min_eigenvalues(*block(slice(i, i + CERTIFY_BLOCK_POINTS)), self.generators).min()
+            for i in range(0, len(self.grid), CERTIFY_BLOCK_POINTS)]))
+
     def largest_shrink(self, pert) -> float:
         """Largest s in [0, 1] keeping every grid block of T + s * bumps PSD."""
-        rate = (_failure_rate_2d if self.model.dimension == 2 else _failure_rate_4d)(
-            self, *pert)
-        return 1.0 / max(1.0, rate)
+        fa, fb, z = pert
+        lam = self._grid_min(lambda sl: _rest_frame(self.fT[sl], fa[sl], fb[sl], z[sl]))
+        return 1.0 / max(1.0, -lam)
 
     def min_eigenvalue(self, pert, s: float) -> float:
         """Grid minimum of the smallest obstruction eigenvalue of T + s * bumps."""
         fa, fb, z = pert
-        fa = self.fT + s * fa
-        fb = self.fT + s * fb
-        z = s * z
-        return min(float(_min_eigenvalues(fa[sl], fb[sl], z[sl], self.generators).min())
-                   for sl in _point_blocks(len(self.grid)))
-
-
-def _failure_rate_2d(ctx: _GridContext, fa, fb, z) -> float:
-    """Largest 1/s at which a 2x2 block of T + s * bumps stops being PSD.
-
-    A block [[x, w], [w*, y]] is PSD iff its trace and determinant are >= 0.  The
-    time function's block has x0, y0 > 0 and no coupling, so with t = 1/s the
-    determinant is t^-2 (c0 t^2 + c1 t + c2), c0 = x0 y0 > 0, and it first vanishes at
-    the largest root t+ of that quadratic; the trace vanishes at t = -trP / tr0.
-    Both are maximized over points; the trace root only matters where both
-    eigenvalues cross zero together (a double root of the determinant).
-    """
-    rate = 0.0
-    base = _blocks_2d(ctx.fT, ctx.fT, np.zeros(len(ctx.grid)))
-    for (x0, y0, _), (xP, yP, z2) in zip(base, _blocks_2d(fa, fb, z)):
-        c0 = x0 * y0
-        c1 = x0 * yP + xP * y0
-        c2 = xP * yP - z2
-        disc = c1 * c1 - 4.0 * c0 * c2
-        root = np.sqrt(np.maximum(disc, 0.0))
-        # cancellation-safe largest root: the citardauq form where c1 > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_plus = np.where(c1 <= 0.0, (root - c1) / (2.0 * c0), -2.0 * c2 / (c1 + root))
-        t_plus = np.where(disc >= 0.0, t_plus, 0.0)
-        rate = max(rate, float(np.max(t_plus)), float(np.max(-(xP + yP) / (x0 + y0))))
-    return rate
-
-
-def _point_blocks(count: int):
-    return (slice(i, min(i + CERTIFY_BLOCK_POINTS, count))
-            for i in range(0, count, CERTIFY_BLOCK_POINTS))
-
-
-def _failure_rate_4d(ctx: _GridContext, fa, fb, z) -> float:
-    """Largest 1/s at which a 4x4 block of T + s * bumps stops being PSD.
-
-    With the time function's block B = L L^H positive definite, B + s P is PSD iff
-    I + s C is, C = L^-1 P L^-H (the symmetric-definite pencil); that fails first at
-    s = -1 / lambda_min(C).
-    """
-    gens = ctx.generators
-    rate = 0.0
-    for sl in _point_blocks(len(ctx.grid)):
-        fT = ctx.fT[sl]
-        L = np.linalg.cholesky(_assemble(gens, fT, fT, np.zeros(len(fT))))
-        X = np.linalg.solve(L, _assemble(gens, fa[sl], fb[sl], z[sl]))  # L^-1 P
-        C = np.linalg.solve(L, np.conj(np.swapaxes(X, -1, -2)))        # L^-1 P L^-H
-        rate = max(rate, -float(np.linalg.eigvalsh(C)[..., 0].min()))
-    return rate
+        return self._grid_min(
+            lambda sl: (self.fT[sl] + s * fa[sl], self.fT[sl] + s * fb[sl], s * z[sl]))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +229,8 @@ def _build_element(index: int, seed: int, ctx: _GridContext,
         return None
 
     final_eig = ctx.min_eigenvalue(pert, s_final)
-    if final_eig < -NEGATIVE_TOL:  # the closed form only proposes s; this certifies it
+    # the closed form only proposes s; this certifies it, failing closed on NaN
+    if not final_eig >= -NEGATIVE_TOL:
         log.info("discarding element %d: certification failed after shrink "
                  "(min eig %.3e)", index, final_eig)
         return None
@@ -270,27 +245,29 @@ def _build_element(index: int, seed: int, ctx: _GridContext,
 
 
 def sample_causal_elements(model: SpacetimeModel, count: int, seed: int, *,
-                           rep: Optional[SpinRepresentation] = None,
                            grid: Optional[np.ndarray] = None,
                            amplitude: float = 1.0) -> List[SampledElement]:
     """Draw `count` random certified cone elements, deterministically per seed.
 
     Each element is T + s * bumps on both sheets.  The obstruction matrix is affine
     in s, so the largest s in [0, 1] keeping it PSD on the certification grid is
-    solved exactly per point (a quadratic in 2D, a Cholesky-whitened pencil in 4D);
-    the element keeps SAFETY_FACTOR times it, and an eigenvalue sweep of the final
-    element on the grid certifies it.  The shrink only ever reduces amplitudes,
-    never grows them.  Elements whose shrink underflows are discarded with a log
-    entry; more than 50% discards aborts.  The time function must be timelike on
-    the grid (ValueError otherwise).
+    solved exactly per point: boosted to the rest frame of dT, T's blocks are a
+    multiple of the identity and the bound is one smallest eigenvalue of the boosted
+    bumps.  The element keeps SAFETY_FACTOR times it, and an eigenvalue sweep of the
+    final element on the grid certifies it.  The shrink only ever reduces
+    amplitudes, never grows them.  Elements whose shrink underflows are discarded
+    with a log entry; more than 50% discards aborts.  The rest frame needs dT future
+    timelike at every grid point, and `amplitude` must be finite (ValueError
+    otherwise).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     if model.mass_kind == "diagonal":
         raise ValueError("diagonal models have a decoupled cone; sample per sheet instead")
-    rep = rep or make_representation(model.dimension)
     pts = certification_grid(model) if grid is None else np.asarray(grid, dtype=float)
-    ctx = _GridContext(model, rep, pts)
+    ctx = _GridContext(model, pts)
 
     workers = thread_count(count)
     if workers == 1:

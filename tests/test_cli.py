@@ -262,3 +262,12 @@ def test_oracle_refuses_diagonal_models(capsys):
                          "--elements", "4", "--seed", "1")
     assert code == 1 and out == ""
     assert "diagonal models have a decoupled cone" in err
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "inf"])
+def test_oracle_non_finite_amplitude_exits_one(amplitude, capsys):
+    path = os.path.join(MODELS, "flat2d.json")
+    code, out, err = run(capsys, "oracle", "--model", path, "--pairs", "20",
+                         "--elements", "4", "--seed", "3", "--amplitude", amplitude)
+    assert code == 1 and out == ""
+    assert "amplitude must be finite" in err

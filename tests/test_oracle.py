@@ -84,9 +84,20 @@ def test_zero_amplitude_draw_degenerates_to_time(model):
 def test_sampling_rejections(model):
     with pytest.raises(ValueError):
         sample_causal_elements(model, 0, 1)
+    for amplitude in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            sample_causal_elements(model, 4, 3, amplitude=amplitude)
     diag = SpacetimeModel.minkowski(2, mass=1.0, mass_kind="diagonal")
     with pytest.raises(ValueError):
         sample_causal_elements(diag, 3, 1)
+
+
+def test_nan_certificate_fails_closed(model):
+    # a NaN draw makes every eigenvalue NaN; the certificate must reject it
+    ctx = oracle._GridContext(model, certification_grid(model, per_axis=21))
+    assert np.isnan(ctx.min_eigenvalue(ctx.perturbation(
+        oracle._draw_construction(np.random.default_rng(3), model, np.nan)), 0.5))
+    assert all(oracle._build_element(i, 3, ctx, np.nan) is None for i in range(4))
 
 
 def test_sampling_rejects_a_null_time_slicing():
@@ -126,11 +137,18 @@ def _bisected_shrink(min_eig, iters=20):
     return lo
 
 
+# time column tilted off the frame's time axis: dT is not at rest, so the shrink
+# boosts every point to the rest frame of dT
+TILTED = SpacetimeModel.with_vielbein(
+    [["1", "0.1*x", "0", "0"], ["0.5", "1 + 0.1*t", "0", "0"], ["0", "0", "1", "0"],
+     ["0.2*t", "0", "0.1*y", "1 + 0.05*x"]], mass=0.8 + 0.6j, box=[[-2, 2]] * 4)
+
+
 @pytest.mark.parametrize("name,per_axis,count", [
     ("flat2d", None, 6), ("conformal2d", None, 6), ("scalar2d", None, 6),
-    ("flat4d", 7, 2), ("vielbein4d", 7, 2)])
+    ("flat4d", 7, 2), ("vielbein4d", 7, 2), ("tilted", 7, 2)])
 def test_shrink_is_the_exact_root(name, per_axis, count):
-    m = modelfile.load(os.path.join(MODELS, f"{name}.json"))
+    m = TILTED if name == "tilted" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
     rep = make_representation(m.dimension)
     grid = certification_grid(m, per_axis=per_axis)
     els = sample_causal_elements(m, count, 31, grid=grid)

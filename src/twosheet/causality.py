@@ -10,7 +10,7 @@ report both legs, the achieved/required budget, and the comparison method.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -333,27 +333,11 @@ def fluctuate(model: SpacetimeModel, Phi: Union[str, Expression],
     if (Av is None) != (Bv is None):
         raise ValueError("vector potentials come in pairs (one per sheet)")
 
-    per_axis = 33 if model.dimension == 2 else 9
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in model.domain_box]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dimension)
-    vals = np.abs(phi_expr(mesh))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("weight field is not finite on the sampled domain")
-    if np.any(vals <= 1e-12):
+    fluct = replace(model, mass_kind="scalar", mass_field=phi_expr,
+                    vector_potentials=(Av, Bv) if Av is not None else None, source=None)
+    report = fluct.validate(samples_per_axis=33 if model.dimension == 2 else 9)
+    if report["min_abs_weight"] <= 1e-12:
         warnings.warn("scalar weight vanishes on part of the domain; internal "
                       "thresholds beyond the dead region may be unreachable",
                       stacklevel=2)
-
-    return SpacetimeModel(
-        dimension=model.dimension,
-        metric_kind=model.metric_kind,
-        mass_kind="scalar",
-        mass=model.mass,
-        conformal_factor=model.conformal_factor,
-        vielbein=model.vielbein,
-        mass_field=phi_expr,
-        vector_potentials=(Av, Bv) if Av is not None else None,
-        domain_box=model.domain_box.copy(),
-        resolutions=dict(model.resolutions),
-        source=None,
-    )
+    return fluct

@@ -165,44 +165,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_model(args) -> Optional[SpacetimeModel]:
-    model = modelfile.load(args.model)
-    if getattr(args, "dump_model", False):
-        _emit(modelfile.dumps(model), args.out)
-        return None
-    return model
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_decide(args) -> int:
-    model = _load_model(args)
-    if model is None:
-        return 0
+def _cmd_decide(args, model: SpacetimeModel) -> int:
     band = args.band
     if band is None:
         band = modelfile.model_tolerances(model).get("decision_band")
     d = decide((args.p, args.xi), (args.q, args.phi), model, method=args.method, tol=band)
-    doc = {
-        "related": d.related,
-        "base_related": d.base_related,
-        "marginal": d.marginal,
-        "method": d.method,
-        "required": d.required,
-        "achieved": d.achieved,
-        "slack": d.slack,
-        "band": d.band,
-    }
+    doc = {k: getattr(d, k) for k in ("related", "base_related", "marginal", "method",
+                                      "required", "achieved", "slack", "band")}
     _emit(modelfile._json_layout(doc, _json_token) + "\n", args.out)
     return 0
 
 
-def _cmd_distance(args) -> int:
-    model = _load_model(args)
-    if model is None:
-        return 0
+def _cmd_distance(args, model: SpacetimeModel) -> int:
     value = max_weighted_length(args.p, args.q, model, method=args.method,
                                 time_steps=args.time_steps)
     _emit(_fmt(value) + "\n", args.out)
@@ -212,10 +190,7 @@ def _cmd_distance(args) -> int:
 _AXIS_NAMES = {2: ["t", "x"], 4: ["t", "x", "y", "z"]}
 
 
-def _cmd_cone(args) -> int:
-    model = _load_model(args)
-    if model is None:
-        return 0
+def _cmd_cone(args, model: SpacetimeModel) -> int:
     grid = None
     if args.grid is not None:
         if len(args.grid) != model.dimension:
@@ -247,18 +222,13 @@ def _read_curve(path: str, dimension: int) -> CausalCurve:
     return CausalCurve.from_samples(data[:, 0], data[:, 1:])
 
 
-def _cmd_witness(args) -> int:
-    model = _load_model(args)
-    if model is None:
-        return 0
+def _cmd_witness(args, model: SpacetimeModel) -> int:
     curve = _read_curve(args.curve, model.dimension)
     wp = witness_element(curve, args.xi, args.phi, model)
     rep = make_representation(model.dimension)
 
     tube = witness_tube_grid(curve, args.radius, args.per_sample)
-    lo = model.domain_box[:, 0]
-    hi = model.domain_box[:, 1]
-    tube = np.unique(np.clip(tube, lo, hi), axis=0)
+    tube = np.unique(np.clip(tube, *model.domain_box.T), axis=0)
     mats = obstruction_matrices(wp, tube, model, rep)
     eigs = np.linalg.eigvalsh(mats)
     worst = int(np.argmin(eigs[:, 0]))
@@ -286,21 +256,15 @@ def _cmd_witness(args) -> int:
         "certified": bool(min_eig >= -PSD_TOL and separation <= 0.0),
     }
 
-    names = [f"x{i}" for i in range(model.dimension)]
-    rows = [",".join(["t"] + names + ["a", "b", "theta"])]
-    for i, t in enumerate(curve.ts):
-        coords = ",".join(_fmt(c) for c in curve.points[i])
-        rows.append(f"{_fmt(t)},{coords},{_fmt(wp.a_samples[i])},"
-                    f"{_fmt(wp.b_samples[i])},{_fmt(wp.theta[i])}")
+    rows = [",".join(["t", *(f"x{i}" for i in range(model.dimension)), "a", "b", "theta"])]
+    rows += [",".join(_fmt(c) for c in (t, *pt, a, b, th)) for t, pt, a, b, th
+             in zip(curve.ts, curve.points, wp.a_samples, wp.b_samples, wp.theta)]
     _emit("\n".join(rows) + "\n", args.out)
     _emit(modelfile._json_layout(report, _json_token) + "\n", args.report)
     return 0 if report["certified"] else 2
 
 
-def _cmd_oracle(args) -> int:
-    model = _load_model(args)
-    if model is None:
-        return 0
+def _cmd_oracle(args, model: SpacetimeModel) -> int:
     if args.pairs < 1:
         raise ValueError("--pairs must be >= 1")
     elements = sample_causal_elements(model, args.elements, args.seed,
@@ -417,13 +381,12 @@ def _cmd_selftest(args) -> int:
 # entry point
 
 
-_COMMANDS = {
+_MODEL_COMMANDS = {
     "decide": _cmd_decide,
     "distance": _cmd_distance,
     "cone": _cmd_cone,
     "witness": _cmd_witness,
     "oracle": _cmd_oracle,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -433,7 +396,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "selftest":
+            return _cmd_selftest(args)
+        model = modelfile.load(args.model)
+        if args.dump_model:
+            _emit(modelfile.dumps(model), args.out)
+            return 0
+        return _MODEL_COMMANDS[args.command](args, model)
     except (modelfile.ModelFileError, ExpressionError, DomainError,
             InvalidCurveError, NotRelatedError, NotImplementedError,
             OSError, ValueError) as exc:

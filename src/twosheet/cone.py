@@ -15,8 +15,8 @@ identities, with closed forms available for the explicit cot/tan witness family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -271,7 +271,6 @@ def charpoly_certificate(M: np.ndarray,
                                  closed_form_discrepancy=_cf_gap(zeros, closed_form, 1.0))
 
     N = mat / scale
-    powers = []
     P = N.copy()
     traces = []
     for _ in range(k):
@@ -324,12 +323,18 @@ def witness_matrix_at(w, theta: float, m: complex, rep: SpinRepresentation) -> n
     s2t = np.sin(2.0 * theta)
     if abs(s2t) < 1e-12:
         raise ValueError("theta must stay away from multiples of pi/2")
-    am = abs(m)
-    k_a = am / (2.0 * np.sin(theta) ** 2 * np.sqrt(G))
-    k_b = am / (2.0 * np.cos(theta) ** 2 * np.sqrt(G))
-    flip = np.concatenate(([w[0]], -w[1:]))
+    fa, fb = _witness_gradients(w, theta, abs(m), G)
     z = np.asarray(-m / s2t, dtype=complex)
-    return _assemble(_block_generators(rep), k_a * flip, k_b * flip, z)
+    return _assemble(_block_generators(rep), fa, fb, z)
+
+
+def _witness_gradients(w, theta, weight, G):
+    """Witness frame gradients (k_a, k_b) (w^0, -w_i) at frame tangents w (..., n), with
+    k_a = weight / (2 sin^2(theta) sqrt(G)), k_b = weight / (2 cos^2(theta) sqrt(G))."""
+    k_a = np.asarray(weight / (2.0 * np.sin(theta) ** 2 * np.sqrt(G)))
+    k_b = np.asarray(weight / (2.0 * np.cos(theta) ** 2 * np.sqrt(G)))
+    flip = np.concatenate([w[..., :1], -w[..., 1:]], axis=-1)
+    return k_a[..., None] * flip, k_b[..., None] * flip
 
 
 def witness_certificate_2d(lam1: float, lam2: float, theta: float, m: complex) -> np.ndarray:
@@ -382,9 +387,8 @@ def pointwise_min_eigenvalues(pair: CausalElementPair, points, model: SpacetimeM
     form.  The 8x8 splits into 4x4 blocks on indices (0,1,6,7) and (2,3,4,5).
     """
     _, _, fa, fb, z = pair_field_data(pair, points, model)
-    if model.dimension == 2:
-        return _min_eigenvalues(fa, fb, z)
-    return _min_eigenvalues(fa, fb, z, _block_generators(rep, OBSTRUCTION_BLOCKS_4D))
+    gens = None if model.dimension == 2 else _block_generators(rep, OBSTRUCTION_BLOCKS_4D)
+    return _min_eigenvalues(fa, fb, z, gens)
 
 
 @dataclass
@@ -414,34 +418,17 @@ def is_causal_element(pair: CausalElementPair, model: SpacetimeModel,
 # explicit witness family
 
 
-class _WitnessSide(ScalarField):
-    """One sheet of a witness pair, defined along a curve and extended by
-    constant continuation on time slabs with prescribed frame gradients."""
-
-    def __init__(self, owner: "WitnessPair", which: str):
-        self.owner = owner
-        self.which = which  # 'a' | 'b'
-
-    def value(self, points):
-        pts = np.asarray(points, dtype=float)
-        idx = self.owner.sample_index(pts)
-        vals = self.owner.a_samples if self.which == "a" else self.owner.b_samples
-        return vals[idx]
-
-    def gradient(self, points):
-        pts = np.asarray(points, dtype=float)
-        idx = self.owner.sample_index(pts)
-        frame = self.owner.fa_samples if self.which == "a" else self.owner.fb_samples
-        # the prescribed frame gradient, in coordinates at the query point
-        return self.owner.model.from_frame(pts, frame[idx])
-
-
 @dataclass
 class WitnessPair(CausalElementPair):
-    """Explicit cot/tan pair certifying a failed causal relation along a curve."""
+    """Cot/tan pair (a, b) = (-cot(theta)/2, tan(theta)/2) along one timelike curve.
+
+    Values are constant on each sample's time slab and the frame gradients are
+    prescribed, not derived from them; the pair is checked only on a tube around
+    the curve.  It separates the curve's end states but does not prove them
+    unrelated: another curve may still join them.
+    """
 
     curve: CausalCurve = None
-    model: SpacetimeModel = None
     xi: float = 0.0
     phi: float = 0.0
     sigma: float = 1.0
@@ -451,25 +438,11 @@ class WitnessPair(CausalElementPair):
     theta: np.ndarray = None
     a_samples: np.ndarray = None
     b_samples: np.ndarray = None
-    fa_samples: np.ndarray = None
-    fb_samples: np.ndarray = None
-
-    def sample_index(self, points: np.ndarray) -> np.ndarray:
-        """Nearest curve sample by coordinate time (slab lookup)."""
-        times = self.curve.points[:, 0]
-        t = np.asarray(points)[..., 0]
-        idx = np.searchsorted(times, t)
-        idx = np.clip(idx, 1, len(times) - 1)
-        left = times[idx - 1]
-        right = times[idx]
-        idx = np.where(np.abs(t - left) <= np.abs(right - t), idx - 1, idx)
-        return idx
 
     def separation(self) -> float:
         """Ordering functional at the endpoints; negative = states separated."""
-        p = self.curve.points[0]
-        q = self.curve.points[-1]
-        return ordering_gap(self, MixedState(p, self.xi), MixedState(q, self.phi))
+        return ordering_gap(self, MixedState(self.curve.start, self.xi),
+                            MixedState(self.curve.end, self.phi))
 
 
 def ordering_gap(pair: CausalElementPair, state1, state2) -> float:
@@ -480,29 +453,25 @@ def ordering_gap(pair: CausalElementPair, state1, state2) -> float:
     p = np.asarray(state1.point, dtype=float)[None, :]
     q = np.asarray(state2.point, dtype=float)[None, :]
     xi, phi = float(state1.xi), float(state2.xi)
-    aq = float(pair.a.value(q)[0])
-    bq = float(pair.b.value(q)[0])
-    ap = float(pair.a.value(p)[0])
-    bp = float(pair.b.value(p)[0])
+    aq, bq, ap, bp = (float(f.value(x)[0]) for x in (q, p) for f in (pair.a, pair.b))
     return (phi * aq - xi * ap) + ((1.0 - phi) * bq - (1.0 - xi) * bp)
 
 
 def witness_element(curve: CausalCurve, xi: float, phi: float,
                     model: SpacetimeModel) -> WitnessPair:
-    """Construct the separating cot/tan pair along a timelike curve.
+    """Construct the cot/tan pair along a timelike curve, separating its end states.
 
     Preconditions: xi != phi, the curve is future-directed timelike, and its
-    weighted length is strictly below |arcsin(sqrt(phi)) - arcsin(sqrt(xi))|.
+    weighted length is strictly below |arcsin(sqrt(phi)) - arcsin(sqrt(xi))|.  The
+    pair does not show that the states are unrelated (see WitnessPair).
     """
-    xi = float(xi)
-    phi = float(phi)
+    xi, phi = float(xi), float(phi)
     if not (0.0 <= xi <= 1.0 and 0.0 <= phi <= 1.0):
         raise ValueError("xi and phi must lie in [0, 1]")
     if xi == phi:
         raise ValueError("equal internal states need no witness")
 
-    r_xi = np.arcsin(np.sqrt(xi))
-    r_phi = np.arcsin(np.sqrt(phi))
+    r_xi, r_phi = np.arcsin(np.sqrt(xi)), np.arcsin(np.sqrt(phi))
     gap = abs(r_phi - r_xi)
     sigma = 1.0 if r_phi > r_xi else -1.0
 
@@ -531,23 +500,24 @@ def witness_element(curve: CausalCurve, xi: float, phi: float,
     if np.any(G <= 1e-12 * np.maximum(norm2, 1e-300)) or np.any(w[..., 0] <= 0):
         raise InvalidCurveError("witness construction needs a future-directed timelike curve")
 
-    weight = model.weight(curve.points)
-    k_a = weight / (np.sin(theta) ** 2 * 2.0 * np.sqrt(G))
-    k_b = weight / (np.cos(theta) ** 2 * 2.0 * np.sqrt(G))
-    direction = np.concatenate([w[..., :1], -w[..., 1:]], axis=-1)
-    fa = k_a[..., None] * direction
-    fb = k_b[..., None] * direction
+    fa, fb = _witness_gradients(w, theta, model.weight(curve.points), G)
+    a_samples, b_samples = -0.5 / np.tan(theta), 0.5 * np.tan(theta)
+    times = curve.points[:, 0]
 
-    pair = WitnessPair(
-        a=None, b=None, description="witness",
-        curve=curve, model=model, xi=xi, phi=phi, sigma=sigma, epsilon=epsilon, gap=gap,
-        lengths=lengths, theta=theta,
-        a_samples=-0.5 / np.tan(theta), b_samples=0.5 * np.tan(theta),
-        fa_samples=fa, fb_samples=fb,
+    def slab(points):  # nearest curve sample by coordinate time
+        t = points[..., 0]
+        idx = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
+        return np.where(np.abs(t - times[idx - 1]) <= np.abs(times[idx] - t), idx - 1, idx)
+
+    def side(values, frame):
+        return FunctionField(lambda pts: values[slab(pts)],
+                             lambda pts: model.from_frame(pts, frame[slab(pts)]))
+
+    return WitnessPair(
+        a=side(a_samples, fa), b=side(b_samples, fb), description="witness",
+        curve=curve, xi=xi, phi=phi, sigma=sigma, epsilon=epsilon, gap=gap,
+        lengths=lengths, theta=theta, a_samples=a_samples, b_samples=b_samples,
     )
-    pair.a = _WitnessSide(pair, "a")
-    pair.b = _WitnessSide(pair, "b")
-    return pair
 
 
 def witness_tube_grid(curve: CausalCurve, radius: float, per_sample: int = 5) -> np.ndarray:
@@ -672,9 +642,8 @@ def verify_vector_noop(model: SpacetimeModel, pair: CausalElementPair, grid,
     pts = np.asarray(grid, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    A_exprs, B_exprs = model.vector_potentials
-    A = np.stack([e(pts) for e in A_exprs], axis=-1)  # (..., n) coordinate components
-    B = np.stack([e(pts) for e in B_exprs], axis=-1)
+    # (..., n) coordinate components of A and B
+    A, B = (np.stack([e(pts) for e in exprs], axis=-1) for exprs in model.vector_potentials)
     # curved gamma~^mu A_mu = gamma^a (e_a^mu A_mu)
     alpha, beta = model.to_frame(pts, np.stack([A, B]))
     gam = np.stack(rep.gammas)

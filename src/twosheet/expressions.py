@@ -281,6 +281,15 @@ def _render(node) -> str:
     return f"({_render(node[1])} {kind} {_render(node[2])})"
 
 
+def _walk(fn, *args):
+    """fn(*args) for a recursive tree walker (parser, simplifier, derivative,
+    renderer, evaluator): a tree too deep for the stack is bad input."""
+    try:
+        return fn(*args)
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None
+
+
 class Expression:
     """A parsed scalar field over the coordinates (t, x, y, z).
 
@@ -289,7 +298,7 @@ class Expression:
 
     def __init__(self, source: str, _node=None):
         self.source = source
-        self._node = _simplify(_Parser(source).parse() if _node is None else _node)
+        self._node = _walk(lambda: _simplify(_Parser(source).parse() if _node is None else _node))
         self._derivs: Dict[str, "Expression"] = {}
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -297,19 +306,19 @@ class Expression:
         points = np.asarray(points, dtype=float)
         env = {name: points[..., i] if i < points.shape[-1] else 0.0
                for i, name in enumerate(VARIABLES)}
-        out = _evaluate(self._node, env)
+        out = _walk(_evaluate, self._node, env)
         return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1]).copy()
 
     def evaluate(self, **coords: ArrayLike) -> ArrayLike:
         env = {name: coords.get(name, 0.0) for name in VARIABLES}
-        return _evaluate(self._node, env)
+        return _walk(_evaluate, self._node, env)
 
     def derivative(self, var: str) -> "Expression":
         if var not in VARIABLES:
             raise ExpressionError(f"unknown variable {var!r}")
         if var not in self._derivs:
-            node = _simplify(_derivative(self._node, var))
-            self._derivs[var] = Expression(_render(node), _node=node)
+            node = _walk(lambda: _simplify(_derivative(self._node, var)))
+            self._derivs[var] = Expression(_walk(_render, node), _node=node)
         return self._derivs[var]
 
     def gradient(self, points: np.ndarray, dimension: int) -> np.ndarray:

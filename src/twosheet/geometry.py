@@ -42,6 +42,7 @@ __all__ = [
     "DomainError",
     "InvalidCurveError",
     "NotRelatedError",
+    "ModelValidationError",
     "weighted_length",
     "cumulative_weighted_length",
     "is_causally_related",
@@ -73,6 +74,14 @@ class InvalidCurveError(ValueError):
 
 class NotRelatedError(ValueError):
     """No future-directed causal curve joins the two points."""
+
+
+class ModelValidationError(ValueError):
+    """A sampled model check failed; `field` names the SpacetimeModel field at fault."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
 
 
 def _as_point(p, dimension: int) -> np.ndarray:
@@ -257,34 +266,43 @@ class SpacetimeModel:
 
     # -- sampled sanity checks ----------------------------------------------
 
+    @np.errstate(all="ignore")  # non-finite samples fail the checks; numpy need not warn
     def validate(self, samples_per_axis: int = 9) -> Dict[str, float]:
-        """Sampled positivity/invertibility/signature checks; raises on failure."""
+        """Sampled positivity/invertibility/signature checks; raises ModelValidationError."""
         axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in self.domain_box]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dimension)
         report: Dict[str, float] = {}
-        if self.metric_kind == "conformal2d":
-            om = self.omega(mesh)
-            report["min_conformal_factor"] = float(np.min(om))
-            if not np.all(np.isfinite(om)) or report["min_conformal_factor"] <= 0:
-                raise ValueError("conformal factor must be positive on the sampled domain")
-        if self.metric_kind == "vielbein4d":
-            E = self.frame_matrices(mesh)
-            dets = np.linalg.det(E)
-            report["min_abs_frame_det"] = float(np.min(np.abs(dets)))
-            if report["min_abs_frame_det"] < 1e-10:
-                raise ValueError("vielbein is singular at a sampled point")
-            eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-            g_inv = np.einsum("...am,ab,...bn->...mn", E, eta, E)
-            eig = np.linalg.eigvalsh(g_inv)
-            neg = np.sum(eig < 0, axis=-1)
-            if not np.all(neg == 1):
-                raise ValueError("metric signature is not (-,+,+,+) at a sampled point")
-            report["signature_ok"] = 1.0
-        if self.mass_kind == "scalar":
-            vals = np.abs(self.mass_field(mesh))
-            report["min_abs_weight"] = float(np.min(vals))
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("weight field is not finite on the sampled domain")
+        field_name = "conformal_factor"  # the field under check, named on failure
+        try:
+            if self.metric_kind == "conformal2d":
+                om = self.omega(mesh)
+                report["min_conformal_factor"] = float(np.min(om))
+                if not np.all(np.isfinite(om)) or report["min_conformal_factor"] <= 0:
+                    raise ValueError("conformal factor must be positive on the sampled domain")
+            field_name = "vielbein"
+            if self.metric_kind == "vielbein4d":
+                E = self.frame_matrices(mesh)
+                if not np.all(np.isfinite(E)):
+                    raise ValueError("vielbein is not finite at a sampled point")
+                dets = np.linalg.det(E)
+                report["min_abs_frame_det"] = float(np.min(np.abs(dets)))
+                if report["min_abs_frame_det"] < 1e-10:
+                    raise ValueError("vielbein is singular at a sampled point")
+                eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+                g_inv = np.einsum("...am,ab,...bn->...mn", E, eta, E)
+                eig = np.linalg.eigvalsh(g_inv)
+                neg = np.sum(eig < 0, axis=-1)
+                if not np.all(neg == 1):
+                    raise ValueError("metric signature is not (-,+,+,+) at a sampled point")
+                report["signature_ok"] = 1.0
+            field_name = "mass_field"
+            if self.mass_kind == "scalar":
+                vals = np.abs(self.mass_field(mesh))
+                report["min_abs_weight"] = float(np.min(vals))
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError("weight field is not finite on the sampled domain")
+        except ValueError as exc:
+            raise ModelValidationError(str(exc), field_name) from exc
         return report
 
 

@@ -30,13 +30,16 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .expressions import ExpressionError, parse_expression
-from .geometry import DEFAULT_RESOLUTIONS, SpacetimeModel
+from .geometry import DEFAULT_RESOLUTIONS, ModelValidationError, SpacetimeModel
 
 __all__ = ["ModelFileError", "loads", "load", "dumps", "dump", "model_tolerances"]
 
 _GRID_KEYS = ("time_steps", "space_steps", "certification")
 _TOP_KEYS = ("dimension", "metric", "mass", "vector_potentials", "domain",
              "resolutions", "tolerances")
+# model-file key of each field that SpacetimeModel.validate checks
+_VALIDATED_KEYS = {"conformal_factor": "metric.omega", "vielbein": "metric.frame",
+                   "mass_field": "mass.phi"}
 
 
 class ModelFileError(ValueError):
@@ -211,7 +214,11 @@ def loads(text: str) -> SpacetimeModel:
     except ValueError as exc:
         raise ModelFileError(str(exc), "metric", _line_of(text, "metric")) from exc
     if mkind != "minkowski" or qkind == "scalar":
-        model.validate()
+        try:
+            model.validate()
+        except ModelValidationError as exc:
+            key = _VALIDATED_KEYS[exc.field]
+            raise ModelFileError(str(exc), key, _line_of(text, key.split(".")[-1])) from exc
     return model
 
 

@@ -158,9 +158,9 @@ class _GridContext:
         e0 = np.zeros(grid.shape)
         e0[:, 0] = 1.0
         fT = model.to_frame(grid, e0)
-        if np.min(fT[:, 0] - np.linalg.norm(fT[:, 1:], axis=-1)) <= 0.0:
+        if not np.min(fT[:, 0] - np.linalg.norm(fT[:, 1:], axis=-1)) > 0.0:
             # the exact shrink boosts to the rest frame of dT, so dT must be future
-            # timelike: a null slicing is as unusable as a spacelike one
+            # timelike (not null, spacelike or NaN)
             raise ValueError("the coordinate time function is not causal for this model; "
                              "oracle sampling needs a causal time slicing")
         self.fT = fT
@@ -293,10 +293,12 @@ class OracleVerdict:
     """Outcome of checking a decision against sampled elements.
 
     kinds: 'consistent' (no element objects), 'contradiction' (a certified element
-    decreases along a supposedly related pair), 'witness_separates' (not-related
-    confirmed constructively), 'witness_unavailable' (not-related but the separating
-    construction does not apply: base failure, equal internal coordinates, or a
-    null-boundary pair with no timelike curve to build along).
+    decreases along a supposedly related pair), 'witness_separates' (not-related,
+    and the witness built along the decision's maximizing curve separates the
+    states; it is checked on no grid, so this does not prove them unrelated),
+    'witness_unavailable' (not-related but the separating construction does not
+    apply: base failure, equal internal coordinates, or a null-boundary pair with
+    no timelike curve to build along).
     """
 
     kind: str

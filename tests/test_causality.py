@@ -285,6 +285,27 @@ def test_nonfinite_weight_rejected():
         fluctuate(base, "1 / x")
 
 
+def test_fluctuation_keeps_the_base_model():
+    base = SpacetimeModel.conformal("1 + 0.1*t", mass=0.5, box=[[0, 2], [-1, 1]],
+                                    resolutions={"time_steps": 41})
+    fluct = fluctuate(base, "1 + x*x")
+    np.testing.assert_array_equal(fluct.domain_box, base.domain_box)
+    assert dict(fluct.resolutions) == dict(base.resolutions)
+    assert fluct.conformal_factor is base.conformal_factor
+    assert fluct.mass_field.source == "1 + x*x" and fluct.source is None
+
+    frame = [["1", "0", "0", "0"], ["0", "1 + 0.1*t", "0", "0"],
+             ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    base4 = SpacetimeModel.with_vielbein(frame, box=[[-1, 1]] * 4)
+    assert fluctuate(base4, "1").vielbein is base4.vielbein
+
+
+def test_weight_is_checked_on_the_dense_2d_grid():
+    # 1 / (x - 1/16) is finite on 9 samples per axis of [-1, 1] but not on 33
+    with pytest.raises(ValueError, match="not finite"):
+        fluctuate(flat2(box=[[-1, 1], [-1, 1]]), "1 / (x - 0.0625)")
+
+
 def test_vector_potentials_come_in_pairs():
     base = flat2()
     with pytest.raises(ValueError):

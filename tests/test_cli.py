@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,35 @@ def test_cone_rejects_bad_grid(flat_model, capsys):
     code, _, err = run(capsys, "cone", "--model", flat_model, "--p", "0,0",
                        "--xi", "0", "--grid", "5by5")
     assert code == 1 and err != ""
+
+
+def test_deep_expression_exits_one_with_its_key(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(FLAT.replace('"kind": "minkowski"', '"kind": "conformal2d", "omega": "'
+                                 + "(" * 600 + "1" + ")" * 600 + '"'))
+    code, out, err = run(capsys, "decide", "--model", str(path), "--p", "0,0",
+                         "--xi", "0", "--q", "1,0", "--phi", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        'twosheet: error: model file error at line 3, key "metric.omega": '
+        "expression is nested too deeply"]
+
+
+def test_nan_frame_exits_one_with_its_key(tmp_path, capsys):
+    frame = [["sqrt(x)", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+             ["0", "0", "0", "1"]]
+    path = tmp_path / "nan_frame.json"
+    path.write_text(json.dumps({
+        "dimension": 4, "metric": {"kind": "vielbein4d", "frame": frame},
+        "mass": {"kind": "constant", "re": 1.0, "im": 0.0},
+        "domain": {"box": [[-1, 1]] * 4}}, indent=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "oracle", "--model", str(path), "--pairs", "1",
+                             "--elements", "1", "--seed", "1")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert 'key "metric.frame"' in err and "not finite" in err
 
 
 # ---------------------------------------------------------------------------

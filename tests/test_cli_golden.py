@@ -1,5 +1,6 @@
 """Golden CLI bytes: stdout and exit code of decide, distance and --dump-model on
-every file in models/, compared with tests/cli_golden.json.
+every file in models/, and of witness along straight curves on four of them,
+compared with tests/cli_golden.json.
 
 Regenerate the golden file (only when an output change is intended and
 explained) with
@@ -12,6 +13,9 @@ import io
 import json
 import os
 import sys
+import tempfile
+
+import numpy as np
 
 import pytest
 
@@ -25,10 +29,30 @@ GOLDEN = os.path.join(HERE, "cli_golden.json")
 PAIRS = {2: ("0.2,0.1", "1.5,0.6"), 4: ("0,0,0,0", "1.5,0.4,0.2,0.1")}
 # vielbein4d: related, but the straight chord between the two points is spacelike
 SPACELIKE_CHORD_PAIR = ("-2,-2,0,0", "2,1.3,0,0")
+# witness runs: model -> (start, velocity, duration, samples, xi, phi, extra options)
+# along the straight timelike curve t -> start + t * velocity, t in [0, duration]
+WITNESS_CURVES = {
+    "flat2d": ((0.0, 0.0), (1.0, 0.3), 1.0, 65, "0", "1", []),
+    "conformal2d": ((-0.5, 0.2), (1.0, -0.4), 0.6, 33, "0.2", "0.9", []),
+    "flat4d": ((0.0, 0.1, 0.0, -0.2), (1.0, 0.3, 0.2, -0.1), 0.6, 33, "0.9", "0.2",
+               ["--per-sample", "3"]),
+    "vielbein4d": ((-0.5, 0.0, 0.2, 0.0), (1.0, 0.2, -0.3, 0.1), 1.0, 33, "0", "1",
+                   ["--per-sample", "3"]),
+}
+
+
+def _curve_text(start, velocity, duration, samples):
+    """witness --curve CSV text of a straight curve, float repr for exact bytes."""
+    ts = np.linspace(0.0, duration, samples)
+    points = np.asarray(start) + ts[:, None] * np.asarray(velocity)
+    names = ",".join(f"x{i}" for i in range(len(start)))
+    rows = [f"t,{names}"] + [",".join(repr(float(c)) for c in (t, *pt))
+                             for t, pt in zip(ts, points)]
+    return "\n".join(rows) + "\n"
 
 
 def _cases():
-    """(label, argv) for every golden run, in a fixed order."""
+    """(label, argv, curve CSV text or None) for every golden run, in a fixed order."""
     cases = []
     for name in sorted(f[:-5] for f in os.listdir(MODELS) if f.endswith(".json")):
         with open(os.path.join(MODELS, name + ".json"), encoding="utf-8") as fh:
@@ -47,19 +71,31 @@ def _cases():
             cases.append(["distance", name, *pq])
         cases.append(["decide", name, "--dump-model", "--p=0,0", "--xi", "0", "--q=0,0",
                       "--phi", "0"])
-    return [(" ".join(c), [c[0], "--model", os.path.join(MODELS, c[1] + ".json"), *c[2:]])
-            for c in cases]
+    out = [(" ".join(c), [c[0], "--model", os.path.join(MODELS, c[1] + ".json"), *c[2:]],
+            None) for c in cases]
+    for name, (start, velocity, duration, samples, xi, phi, extra) in WITNESS_CURVES.items():
+        args = ["--xi", xi, "--phi", phi, *extra]
+        out.append((" ".join(["witness", name, f"samples={samples}", *args]),
+                    ["witness", "--model", os.path.join(MODELS, name + ".json"), *args],
+                    _curve_text(start, velocity, duration, samples)))
+    return out
 
 
-def _run(argv):
+def _run(argv, curve=None):
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if curve is not None:
+            path = os.path.join(tmp, "curve.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(curve)
+            argv = [*argv, "--curve", path]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
     return {"exit": code, "stdout": stdout.getvalue()}
 
 
 def _record():
-    doc = {label: _run(argv) for label, argv in _cases()}
+    doc = {label: _run(argv, curve) for label, argv, curve in _cases()}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -72,12 +108,12 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(label for label, _ in _cases())
+    assert sorted(golden) == sorted(label for label, _, _ in _cases())
 
 
-@pytest.mark.parametrize("label,argv", _cases(), ids=[label for label, _ in _cases()])
-def test_cli_bytes_match_golden(golden, label, argv):
-    assert _run(argv) == golden[label]
+@pytest.mark.parametrize("label,argv,curve", _cases(), ids=[label for label, _, _ in _cases()])
+def test_cli_bytes_match_golden(golden, label, argv, curve):
+    assert _run(argv, curve) == golden[label]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
 """Expression grammar: parsing, evaluation, analytic derivatives, errors."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,3 +110,25 @@ def test_vectorized_matches_scalar():
     vec = e(pts)
     for row, val in zip(pts, vec):
         assert val == pytest.approx(e.evaluate(t=row[0], x=row[1]), rel=1e-14)
+
+
+@pytest.mark.parametrize("src", ["(" * 600 + "1" + ")" * 600, "t" + " * t" * 3000],
+                         ids=["parentheses", "product"])
+def test_deep_nesting_is_an_expression_error(src):
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_expression(src)
+
+
+def test_deep_tree_fails_evaluation_and_derivative_cleanly():
+    # a left-leaning product parses in a loop, but the derivative and the evaluator
+    # recurse once per factor: from a deep enough caller they run out of stack
+    e = parse_expression("0.5" + " * t" * 400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            e.derivative("t")
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            e(np.zeros((1, 2)))
+    finally:
+        sys.setrecursionlimit(limit)

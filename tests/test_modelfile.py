@@ -1,6 +1,7 @@
 """Model file parsing, validation diagnostics, and canonical serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -174,3 +175,43 @@ def test_vector_potentials_need_matching_arity():
     with pytest.raises(ModelFileError) as err:
         loads(json.dumps(obj))
     assert err.value.key == "vector_potentials"
+
+
+def test_deep_nesting_is_a_model_file_error():
+    # the parser recurses per parenthesis level: 600 levels must not escape as a
+    # RecursionError, but name the key like any other bad expression
+    deep = "(" * 600 + "1" + ")" * 600
+    with pytest.raises(ModelFileError) as err:
+        loads(CONFORMAL.replace("1 + 0.2*sin(t)*cos(x)", deep))
+    assert err.value.key == "metric.omega"
+    assert err.value.line == 3
+    assert "nested too deeply" in str(err.value)
+
+
+def test_nonpositive_conformal_factor_names_its_key():
+    with pytest.raises(ModelFileError) as err:
+        loads(CONFORMAL.replace("1 + 0.2*sin(t)*cos(x)", "t"))
+    assert err.value.key == "metric.omega"
+    assert err.value.line == 3
+    assert "conformal factor must be positive" in str(err.value)
+
+
+def test_nan_frame_names_its_key_without_warnings():
+    bad = VIELBEIN.replace('["1 + 0.1*t", "0", "0", "0"]', '["sqrt(x)", "0", "0", "0"]')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelFileError) as err:
+            loads(bad)
+    assert err.value.key == "metric.frame"
+    assert err.value.line == 3
+    assert "not finite" in str(err.value)
+
+
+def test_nonfinite_weight_field_names_its_key():
+    scalar = FLAT.replace('{"kind": "constant", "re": 1.0, "im": 0.0}',
+                          '{"kind": "scalar", "phi": "1 / x"}')
+    with pytest.raises(ModelFileError) as err:
+        loads(scalar)
+    assert err.value.key == "mass.phi"
+    assert err.value.line == 4
+    assert "weight field is not finite" in str(err.value)

@@ -109,6 +109,16 @@ def test_sampling_rejects_a_null_time_slicing():
         sample_causal_elements(m, 4, 1, grid=certification_grid(m, per_axis=5))
 
 
+def test_sampling_rejects_a_nan_frame():
+    # sqrt(x) is NaN on half of the box; an API-built model skips validate, so the
+    # time-slicing check must fail closed on NaN
+    m = SpacetimeModel.with_vielbein(
+        [["sqrt(x)", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="causal time slicing"):
+        sample_causal_elements(m, 1, 1, grid=certification_grid(m, per_axis=5))
+
+
 def test_4d_sampling_certifies_on_its_grid():
     m4 = SpacetimeModel.minkowski(4, mass=1.0, box=[[-1.5, 1.5]] * 4)
     grid = certification_grid(m4, per_axis=7)

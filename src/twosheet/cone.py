@@ -16,7 +16,7 @@ identities, with closed forms available for the explicit cot/tan witness family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +61,10 @@ PSD_TOL = 1e-9          # smallest-eigenvalue tolerance (witness matrices are si
 HERMITIAN_TOL = 1e-12
 # index sets of the two invariant 4x4 blocks of the 4D (8x8) obstruction matrix
 OBSTRUCTION_BLOCKS_4D = ((0, 1, 6, 7), (2, 3, 4, 5))
+# relative slack of the 4D eigenvalue bracket in `_grid_min`: far above the rounding
+# of the closed-form 2x2 bounds and of `eigvalsh` (a few ulps of max|M|), far below
+# the gaps that let it prune
+BRACKET_MARGIN = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,44 @@ def _min_eigenvalues(fa: np.ndarray, fb: np.ndarray, z: np.ndarray,
     if fa.shape[-1] == 2:
         return np.minimum(*(_min_eig_2x2(*blk) for blk in _blocks_2d(fa, fb, z)))
     return np.linalg.eigvalsh(_assemble(generators, fa, fb, z))[..., 0].min(axis=-1)
+
+
+def _grid_min(fa: np.ndarray, fb: np.ndarray, z: np.ndarray,
+              generators: Optional[np.ndarray] = None) -> Tuple[float, int]:
+    """Smallest obstruction eigenvalue over a batch of points (N, n), and the first
+    point holding it: the minimum and argmin of `_min_eigenvalues`, bit for bit.
+
+    2D reads the closed form at every point.  4D brackets each 4x4 block
+    M = [[A, B], [B^H, C]] (2x2 blocks, closed-form eigenvalues) before solving it:
+    Cauchy interlacing gives lambda_min(M) <= ub = min(lambda_min(A), lambda_min(C)),
+    and Weyl's inequality lambda_min(M) >= lb = ub - ||B||_F.  A block whose lb
+    exceeds the batch's smallest ub by more than the rounding margin
+    BRACKET_MARGIN * (1 + max|M|) cannot hold the minimum, so `eigvalsh` runs only
+    on the others (a few percent of a sampled element's grid).  A NaN bound
+    compares false, so its block stays a candidate, and a block with a non-finite
+    entry reads NaN: the minimum fails closed instead of raising.
+    """
+    if fa.shape[-1] == 2:
+        vals = _min_eigenvalues(fa, fb, z)
+    else:
+        M = _assemble(generators, fa, fb, z)
+
+        def lam(S):
+            return _min_eig_2x2(S[..., 0, 0].real, S[..., 1, 1].real, np.abs(S[..., 0, 1]) ** 2)
+
+        ub = np.minimum(lam(M[..., :2, :2]), lam(M[..., 2:, 2:]))
+        B = M[..., :2, 2:]
+        lb = ub - np.sqrt(np.sum(B.real ** 2 + B.imag ** 2, axis=(-2, -1)))
+        cand = ~(lb > np.min(ub) + BRACKET_MARGIN * (1.0 + np.max(np.abs(M))))
+        sub = M[cand]
+        finite = np.isfinite(sub).all(axis=(-2, -1))
+        lam_c = np.full(len(sub), np.nan)
+        lam_c[finite] = np.linalg.eigvalsh(sub[finite])[:, 0]
+        blocks = np.full(ub.shape, np.inf)
+        blocks[cand] = lam_c
+        vals = blocks.min(axis=-1)
+    i = int(np.argmin(vals))
+    return float(vals[i]), i
 
 
 def obstruction_matrices(pair: CausalElementPair, points, model: SpacetimeModel,
@@ -401,17 +443,22 @@ class ConeMembership:
 
 def is_causal_element(pair: CausalElementPair, model: SpacetimeModel,
                       rep: SpinRepresentation, grid=None, tol: float = PSD_TOL) -> ConeMembership:
-    """PSD sweep over a grid; reports the point with the most negative eigenvalue."""
+    """PSD sweep over a grid; reports the point with the most negative eigenvalue.
+
+    The sweep is `_grid_min`: in 4D only blocks whose closed-form eigenvalue bracket
+    reaches the grid minimum are eigensolved, with the dense sweep's minimum and
+    first worst point.  A non-finite matrix entry reads NaN and fails the test.
+    """
     pts = certification_grid(model) if grid is None else np.asarray(grid, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.size == 0:
         raise ValueError("empty certification grid")
-    eigs = pointwise_min_eigenvalues(pair, pts, model, rep)
-    worst = int(np.argmin(eigs))
-    mn = float(eigs.reshape(-1)[worst])
-    return ConeMembership(passed=mn >= -tol, min_eigenvalue=mn,
-                          worst_point=pts.reshape(-1, model.dimension)[worst], tol=tol)
+    pts = pts.reshape(-1, model.dimension)
+    _, _, fa, fb, z = pair_field_data(pair, pts, model)
+    gens = None if model.dimension == 2 else _block_generators(rep, OBSTRUCTION_BLOCKS_4D)
+    mn, worst = _grid_min(fa, fb, z, gens)
+    return ConeMembership(passed=mn >= -tol, min_eigenvalue=mn, worst_point=pts[worst], tol=tol)
 
 
 # ---------------------------------------------------------------------------

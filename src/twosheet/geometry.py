@@ -498,7 +498,8 @@ def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8, need_mask: bool 
     """Weighted lengths of straight segments a->b via midpoint composite quadrature.
 
     a, b: (..., n) endpoint arrays.  Returns values (and optionally a causal+future
-    admissibility mask evaluated on the subsample points).
+    admissibility mask evaluated on the subsample points).  A non-finite frame norm
+    or weight at a sample inside the domain box raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -510,6 +511,14 @@ def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8, need_mask: bool 
     eta = model.frame_norm2(w)
     speed = np.sqrt(np.clip(-eta, 0.0, None))
     vals = np.mean(model.weight(pts) * speed, axis=-1)
+    # a non-finite weight or a NaN or -inf norm makes vals non-finite; +inf and NaN
+    # norms fail the max.  Only then are the samples located: lattice nodes may leave
+    # the box, but inside it a NaN would silently fail the causal mask.
+    if not (np.isfinite(vals).all() and np.max(eta, initial=-np.inf) < np.inf):
+        bad = ~(np.isfinite(eta) & np.isfinite(model.weight(pts))) & model.in_domain(pts)
+        if bad.any():
+            raise ValueError(f"the frame or the weight is not finite at "
+                             f"{pts[bad][0].tolist()} inside the domain box")
     if not need_mask:
         return vals
     norm2 = np.maximum(np.sum(delta * delta, axis=-1), 1e-300)

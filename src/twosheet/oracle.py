@@ -12,6 +12,12 @@ which keeps PSD-ness.  In the rest frame of dT, T's blocks are tau * I, so
 T + s * bumps is PSD iff 1 + s * lambda >= 0 for every eigenvalue lambda of the
 boosted bumps over tau: one smallest-eigenvalue sweep gives the largest s.  The boost
 exists only where dT is future timelike, which sampling requires on the whole grid.
+
+The shrink sweep and the certificate sweep need only the grid minimum.  In 4D
+`cone._grid_min` brackets each 4x4 block between closed-form bounds from its 2x2
+blocks and eigensolves only the few percent of blocks that can hold the minimum, so
+both sweeps return the dense values bit for bit; a 4D element takes about 0.3 s on
+the 17^4 grid (1.1 s with dense sweeps; one thread, 2-vCPU x86 VM).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .cone import (
     CausalElementPair,
     FunctionField,
     _block_generators,
-    _min_eigenvalues,
+    _grid_min,
     certification_grid,
     ordering_gap,
     witness_element,
@@ -147,7 +153,9 @@ class _GridContext:
     element's blocks.  The shrink boosts each point to the rest frame of fT, which
     needs fT future timelike on the whole grid.  Each draw maps its gradients with
     `SpacetimeModel.to_frame`: re-evaluating a vielbein table costs a small fraction
-    of a draw, and the table is not held for the whole run.
+    of a draw, and the table is not held for the whole run.  Both sweeps run per
+    slice of CERTIFY_BLOCK_POINTS points through `cone._grid_min`, which in 4D
+    eigensolves only the blocks whose eigenvalue bracket reaches the slice minimum.
     """
 
     def __init__(self, model: SpacetimeModel, grid: np.ndarray):
@@ -176,9 +184,9 @@ class _GridContext:
 
     def _grid_min(self, block) -> float:
         """Smallest obstruction eigenvalue of (fa, fb, z) = block(sl) over the grid's
-        point slices; NaN if any is NaN."""
+        point slices, each bracketed by `cone._grid_min`; NaN if any is NaN."""
         return float(np.min([
-            _min_eigenvalues(*block(slice(i, i + CERTIFY_BLOCK_POINTS)), self.generators).min()
+            _grid_min(*block(slice(i, i + CERTIFY_BLOCK_POINTS)), self.generators)[0]
             for i in range(0, len(self.grid), CERTIFY_BLOCK_POINTS)]))
 
     def largest_shrink(self, pert) -> float:

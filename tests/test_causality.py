@@ -315,3 +315,30 @@ def test_vector_potentials_come_in_pairs():
     ok = fluctuate(base, "1", A=("t", "x"), B=("0.5", "0"))
     assert ok.vector_potentials is not None
     assert len(ok.vector_potentials[0]) == 2
+
+
+# ---------------------------------------------------------------------------
+# non-finite frames
+
+
+def _sqrt_frame(expr):
+    return SpacetimeModel.with_vielbein(
+        [[expr, "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+         ["0", "0", "0", "1"]], box=[[-1, 1]] * 4)
+
+
+def test_nan_frame_along_the_pair_raises():
+    # an API-built model skips validate; sqrt(x) is NaN on the whole pair, so no
+    # verdict is right
+    m = _sqrt_frame("sqrt(x)")
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        decide(((0, -0.5, 0, 0), 0.1), ((0.8, -0.5, 0, 0), 0.3), m)
+
+
+def test_nan_frame_outside_the_box_is_ignored():
+    # the diamond of this pair reaches x = -1.3, where sqrt(x + 1.05) is NaN; only
+    # samples inside the box must be finite
+    m = _sqrt_frame("sqrt(x + 1.05)")
+    with np.errstate(invalid="ignore"):
+        d = decide(((0, -0.9, 0, 0), 0.1), ((0.8, -0.9, 0, 0), 0.3), m)
+    assert d.base_related and d.related

@@ -192,6 +192,23 @@ def test_nan_frame_exits_one_with_its_key(tmp_path, capsys):
     assert 'key "metric.frame"' in err and "not finite" in err
 
 
+def test_nan_frame_between_validation_samples_exits_one(tmp_path, capsys):
+    # the frame is NaN only for 0.05 < x < 0.15, between the samples of validate,
+    # so the file loads; decide must not read the NaN as "not related"
+    frame = [["sqrt((x - 0.1)*(x - 0.1) - 0.0025)", "0", "0", "0"], ["0", "1", "0", "0"],
+             ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    path = tmp_path / "nan_slab.json"
+    path.write_text(json.dumps({
+        "dimension": 4, "metric": {"kind": "vielbein4d", "frame": frame},
+        "mass": {"kind": "constant", "re": 1.0, "im": 0.0},
+        "domain": {"box": [[-1, 1]] * 4}}, indent=1))
+    with np.errstate(invalid="ignore"):
+        code, out, err = run(capsys, "decide", "--model", str(path), "--p=0,0.1,0,0",
+                             "--xi", "0.1", "--q=0.8,0.1,0,0", "--phi", "0.3")
+    assert code == 1 and out == ""
+    assert "not finite" in err
+
+
 # ---------------------------------------------------------------------------
 # witness
 

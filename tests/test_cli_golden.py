@@ -1,6 +1,6 @@
 """Golden CLI bytes: stdout and exit code of decide, distance and --dump-model on
-every file in models/, and of witness along straight curves on four of them,
-compared with tests/cli_golden.json.
+every file in models/, of witness along straight curves on four of them, and of
+short oracle runs in 2D and 4D, compared with tests/cli_golden.json.
 
 Regenerate the golden file (only when an output change is intended and
 explained) with
@@ -38,6 +38,13 @@ WITNESS_CURVES = {
                ["--per-sample", "3"]),
     "vielbein4d": ((-0.5, 0.0, 0.2, 0.0), (1.0, 0.2, -0.3, 0.1), 1.0, 33, "0", "1",
                    ["--per-sample", "3"]),
+}
+
+# oracle runs: model -> options; few elements, since a 4D element sweeps 17^4 points
+ORACLE_RUNS = {
+    "flat2d": ["--pairs", "20", "--elements", "8", "--seed", "3"],
+    "flat4d": ["--pairs", "4", "--elements", "2", "--seed", "3"],
+    "vielbein4d": ["--pairs", "4", "--elements", "2", "--seed", "5"],
 }
 
 
@@ -78,6 +85,9 @@ def _cases():
         out.append((" ".join(["witness", name, f"samples={samples}", *args]),
                     ["witness", "--model", os.path.join(MODELS, name + ".json"), *args],
                     _curve_text(start, velocity, duration, samples)))
+    for name, args in ORACLE_RUNS.items():
+        out.append((" ".join(["oracle", name, *args]),
+                    ["oracle", "--model", os.path.join(MODELS, name + ".json"), *args], None))
     return out
 
 

@@ -9,8 +9,12 @@ import pytest
 from twosheet import modelfile
 from twosheet.clifford import make_representation
 from twosheet.cone import (
+    OBSTRUCTION_BLOCKS_4D,
     CausalElementPair,
     FunctionField,
+    _assemble,
+    _block_generators,
+    _grid_min,
     certification_grid,
     charpoly_certificate,
     is_causal_element,
@@ -222,6 +226,83 @@ def test_pointwise_min_eigenvalues_match_dense_eigsolver():
         fast = pointwise_min_eigenvalues(pair, pts, m, rep)
         dense = np.linalg.eigvalsh(obstruction_matrices(pair, pts, m, rep))[:, 0]
         np.testing.assert_allclose(fast, dense, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bracketed grid minimum
+
+G4 = _block_generators(REP4, OBSTRUCTION_BLOCKS_4D)
+
+
+def _dense_grid_min(fa, fb, z):
+    eigs = np.linalg.eigvalsh(_assemble(G4, fa, fb, z))[..., 0].min(axis=-1)
+    i = int(np.argmin(eigs))
+    return float(eigs[i]), i
+
+
+def _random_blocks(rng, n, tilt=1.0):
+    """Frame gradients of T + tilt * (random) and a random coupling at n points."""
+    time = np.array([1.0, 0.0, 0.0, 0.0])
+    fa, fb = time + tilt * rng.normal(size=(2, n, 4))
+    z = tilt * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return fa, fb, z
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("tilt", [0.05, 0.3, 3.0])
+def test_grid_min_matches_the_dense_sweep(seed, tilt):
+    fa, fb, z = _random_blocks(np.random.default_rng(seed), 3000, tilt)
+    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+
+
+def test_grid_min_with_zero_coupling():
+    # z = 0 leaves B = 0, so the bracket is tight: lb = ub at every point
+    fa, fb, _ = _random_blocks(np.random.default_rng(1), 2000, 0.3)
+    z = np.zeros(2000, dtype=complex)
+    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+
+
+def test_grid_min_takes_the_first_of_repeated_points():
+    fa, fb, z = _random_blocks(np.random.default_rng(2), 500, 0.3)
+    _, worst = _dense_grid_min(fa, fb, z)
+    for k in (3, 17, min(worst + 5, 499)):  # copies of the worst point around it
+        fa[k], fb[k], z[k] = fa[worst], fb[worst], z[worst]
+    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+    assert _grid_min(fa, fb, z, G4)[1] == min(3, worst)
+    same = [np.repeat(x[:1], 64, axis=0) for x in (fa, fb, z)]
+    assert _grid_min(*same, G4) == (_dense_grid_min(*same)[0], 0)
+
+
+@pytest.mark.parametrize("where", ["fa", "z"])
+def test_grid_min_fails_closed_on_nan(where):
+    # eigvalsh raises on NaN; the bracket reads the point as NaN instead
+    fa, fb, z = _random_blocks(np.random.default_rng(3), 400, 0.3)
+    {"fa": fa[:, 2], "z": z}[where][123] = np.nan
+    value, index = _grid_min(fa, fb, z, G4)
+    assert np.isnan(value) and index == 123
+
+
+def test_grid_min_over_entries_from_1e_minus_8_to_1e4():
+    rng = np.random.default_rng(4)
+    fa, fb, z = _random_blocks(rng, 3000, 0.3)
+    scale = 10.0 ** rng.uniform(-8, 4, size=(3, 3000))
+    fa, fb, z = fa * scale[0, :, None], fb * scale[1, :, None], z * scale[2]
+    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+    # the same spread with the large points kept PSD, so small points decide
+    fa, fb, z = _random_blocks(rng, 3000, 0.1)
+    fa, fb, z = fa * scale[0, :, None], fb * scale[0, :, None], z * scale[0]
+    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+
+
+def test_is_causal_element_reports_the_dense_minimum():
+    m = modelfile.load(os.path.join(MODELS, "vielbein4d.json"))
+    pair = CausalElementPair.from_expressions(
+        "t + 0.4*sin(x + y)", "t - 0.3*cos(x*z)", 4)
+    grid = certification_grid(m, per_axis=9)
+    res = is_causal_element(pair, m, REP4, grid=grid)
+    eigs = pointwise_min_eigenvalues(pair, grid, m, REP4)
+    assert res.min_eigenvalue == eigs.min()
+    np.testing.assert_array_equal(res.worst_point, grid[np.argmin(eigs)])
 
 
 # ---------------------------------------------------------------------------

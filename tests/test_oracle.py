@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from twosheet import modelfile, oracle
+from twosheet import cone, modelfile, oracle
 from twosheet.causality import decide
 from twosheet.clifford import make_representation
 from twosheet.cone import (
@@ -181,6 +181,25 @@ def test_shrink_is_the_exact_root(name, per_axis, count):
             assert abs(min_eig(s_exact)) <= 1e-9 * scale
         assert min_eig(el.construction["shrink"]) >= -1e-9
         assert el.min_eigenvalue >= -1e-9
+
+
+def _dense_grid_min(fa, fb, z, generators=None):
+    eigs = cone._min_eigenvalues(fa, fb, z, generators)
+    i = int(np.argmin(eigs))
+    return float(eigs[i]), i
+
+
+@pytest.mark.parametrize("name", ["flat4d", "vielbein4d", "tilted"])
+def test_bracketed_sweep_matches_the_dense_sweep(name, monkeypatch):
+    # 10^4 points: two CERTIFY_BLOCK_POINTS slices
+    m = TILTED if name == "tilted" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
+    grid = certification_grid(m, per_axis=10)
+    bracketed = sample_causal_elements(m, 3, 1000, grid=grid)
+    monkeypatch.setattr(oracle, "_grid_min", _dense_grid_min)
+    dense = sample_causal_elements(m, 3, 1000, grid=grid)
+    assert len(bracketed) == 3
+    assert ([(el.construction["shrink"], el.min_eigenvalue) for el in bracketed]
+            == [(el.construction["shrink"], el.min_eigenvalue) for el in dense])
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,7 @@ def _validate_closed_cone(state: MixedState, model: SpacetimeModel, pts: np.ndar
     return {"checked": float(checked), "passed": 1.0, "probe": 1e-6}
 
 
+@np.errstate(all="ignore")  # a non-finite frame fails an explicit check; numpy need not warn
 def future_cone(state, model: SpacetimeModel, grid=None, *, method: str = "auto",
                 validate: int = 12, time_steps: Optional[int] = None) -> ConeSurface:
     """Largest reachable internal coordinate over a grid of target points.

@@ -286,8 +286,7 @@ def _cmd_oracle(args, model: SpacetimeModel) -> int:
         verdict = mc_check(s1, s2, elements, decision, model=model)
         kinds[verdict.kind] += 1
         related_count += int(decision.related)
-        if verdict.min_value is not None:
-            min_value = min(min_value, verdict.min_value)
+        min_value = min(min_value, verdict.min_value)
         if verdict.witness_margin is not None:
             min_margin = min(min_margin, verdict.witness_margin)
         if verdict.kind == "contradiction":

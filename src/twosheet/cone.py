@@ -27,7 +27,7 @@ from .geometry import (
     InvalidCurveError,
     MixedState,
     SpacetimeModel,
-    cumulative_weighted_length,
+    _cumulative_length,
 )
 
 __all__ = [
@@ -522,7 +522,7 @@ def witness_element(curve: CausalCurve, xi: float, phi: float,
     gap = abs(r_phi - r_xi)
     sigma = 1.0 if r_phi > r_xi else -1.0
 
-    lengths = cumulative_weighted_length(curve, model)
+    lengths, w, eta, weight = _cumulative_length(curve, model)
     total = float(lengths[-1])
     if total >= gap - 1e-12:
         raise ValueError(
@@ -541,13 +541,12 @@ def witness_element(curve: CausalCurve, xi: float, phi: float,
         if not (np.all(theta > -0.5 * np.pi) and np.all(theta < 0.0)):
             raise ValueError("witness angle left (-pi/2, 0); curve violates the slack bound")
 
-    w = model.frame_components(curve.points, curve.tangents)
-    G = -model.frame_norm2(w)
+    G = -eta
     norm2 = np.sum(curve.tangents ** 2, axis=-1)
     if np.any(G <= 1e-12 * np.maximum(norm2, 1e-300)) or np.any(w[..., 0] <= 0):
         raise InvalidCurveError("witness construction needs a future-directed timelike curve")
 
-    fa, fb = _witness_gradients(w, theta, model.weight(curve.points), G)
+    fa, fb = _witness_gradients(w, theta, weight, G)
     a_samples, b_samples = -0.5 / np.tan(theta), 0.5 * np.tan(theta)
     times = curve.points[:, 0]
 

@@ -439,16 +439,25 @@ def weighted_length(curve: CausalCurve, model: SpacetimeModel, upto: Optional[fl
 
 def cumulative_weighted_length(curve: CausalCurve, model: SpacetimeModel) -> np.ndarray:
     """Running weighted length at every curve sample (starts at 0)."""
-    _, eta, defect, future = _curve_frame_data(curve, model)
+    return _cumulative_length(curve, model)[0]
+
+
+def _cumulative_length(curve: CausalCurve, model: SpacetimeModel):
+    """(running weighted length, w, eta, weight): the lengths with the frame tangents,
+    their eta(w, w) and the weight that its integrand weight * sqrt(-eta) used."""
+    w, eta, defect, future = _curve_frame_data(curve, model)
     if np.any(defect > CURVE_TOL) or not np.all(future):
         raise InvalidCurveError("curve must be future-directed and causal")
-    integrand = model.weight(curve.points) * np.sqrt(np.clip(-eta, 0.0, None))
+    weight = model.weight(curve.points)
+    integrand = weight * np.sqrt(np.clip(-eta, 0.0, None))
     if curve.ts.shape[0] >= 3:
         from scipy.integrate import cumulative_simpson
 
-        return np.asarray(cumulative_simpson(integrand, x=curve.ts, initial=0.0))
-    mids = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(curve.ts)
-    return np.concatenate([[0.0], np.cumsum(mids)])
+        lengths = np.asarray(cumulative_simpson(integrand, x=curve.ts, initial=0.0))
+    else:
+        mids = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(curve.ts)
+        lengths = np.concatenate([[0.0], np.cumsum(mids)])
+    return lengths, w, eta, weight
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +491,7 @@ def _relation(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
     return path is not None, path
 
 
+@np.errstate(all="ignore")  # a non-finite frame fails an explicit check; numpy need not warn
 def is_causally_related(p, q, model: SpacetimeModel) -> bool:
     """True iff a future-directed causal curve joins p to q."""
     p = _as_point(p, model.dimension)
@@ -831,6 +841,7 @@ def _resolve_method(model: SpacetimeModel, method: str) -> str:
     return method
 
 
+@np.errstate(all="ignore")  # a non-finite frame fails an explicit check; numpy need not warn
 def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int] = None,
                         refine: bool = True, return_curve: bool = False,
                         method: str = "auto"):
@@ -884,6 +895,7 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
 # single-source field for cone surfaces
 
 
+@np.errstate(all="ignore")  # a non-finite frame fails an explicit check; numpy need not warn
 def single_source_field(model: SpacetimeModel, p, t_max: float,
                         *, time_steps: Optional[int] = None) -> DiamondField:
     """One forward sweep from p over the box part of its diamond up to t_max (2D models).

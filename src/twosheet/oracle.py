@@ -6,27 +6,26 @@ elements (a global time function T plus Gaussian-windowed cosine bumps, scaled b
 largest shrink that keeps the obstruction matrix PSD on a grid) and evaluates the
 defining inequality directly, hunting for contradictions the main code path cannot see.
 
+The kept elements form one `ElementBank`: padded arrays, packed once, that `mc_check`
+contracts for all elements at once.  `_bump_basis` evaluates the bumps everywhere.
+
 The shrink is exact per grid point.  A local Lorentz boost L acts on the obstruction
 matrix by a spin congruence, diag(S, S)^H M(fa, fb, z) diag(S, S) = M(L fa, L fb, z),
 which keeps PSD-ness.  In the rest frame of dT, T's blocks are tau * I, so
 T + s * bumps is PSD iff 1 + s * lambda >= 0 for every eigenvalue lambda of the
 boosted bumps over tau: one smallest-eigenvalue sweep gives the largest s.  The boost
 exists only where dT is future timelike, which sampling requires on the whole grid.
-
-The shrink sweep and the certificate sweep need only the grid minimum.  In 4D
-`cone._grid_min` brackets each 4x4 block between closed-form bounds from its 2x2
-blocks and eigensolves only the few percent of blocks that can hold the minimum, so
-both sweeps return the dense values bit for bit; a 4D element takes about 0.3 s on
-the 17^4 grid (1.1 s with dense sweeps; one thread, 2-vCPU x86 VM).
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "ElementBank",
     "SampledElement",
     "OracleVerdict",
     "sample_causal_elements",
@@ -63,6 +63,7 @@ SAFETY_FACTOR = 0.9     # headroom so refined grids still certify
 NEGATIVE_TOL = 1e-9     # ordering values below this contradict a related decision
 MAX_BUMPS = 4           # a draw has 2 to MAX_BUMPS bumps
 CERTIFY_BLOCK_POINTS = 8192  # grid points per 4D block batch; bounds certification memory
+BUMP_KEYS = ("centers", "widths", "waves", "phases")
 
 
 def thread_count(jobs: int) -> int:
@@ -79,7 +80,8 @@ def thread_count(jobs: int) -> int:
 
 @dataclass
 class SampledElement:
-    """A certified random cone element and how it was built."""
+    """A certified random cone element and how it was built: a view of one row of
+    an `ElementBank`, holding copies of the row's arrays and the bank's grid."""
 
     pair: CausalElementPair
     construction: Dict[str, object]
@@ -88,43 +90,106 @@ class SampledElement:
 
 
 # ---------------------------------------------------------------------------
-# bump basis
+# bump basis and the element bank
 
 
-def _bump_basis(pts: np.ndarray, centers, widths, waves,
-                phases) -> Tuple[np.ndarray, np.ndarray]:
-    """Values (N, nb) and coordinate gradients (N, nb, n) in one pass."""
-    d = pts[:, None, :] - centers[None, :, :]
-    window = np.exp(-np.sum((d / widths[None, :, :]) ** 2, axis=-1))
-    phase = np.einsum("pbk,bk->pb", d, waves) + phases[None, :]
-    cosp = np.cos(phase)
-    wc = window * cosp
-    grads = (-2.0 * d / widths[None, :, :] ** 2) * wc[..., None] \
-        - (window * np.sin(phase))[..., None] * waves[None, :, :]
+def _bump_basis(pts: np.ndarray, centers, widths, waves, phases, gradient: bool = False):
+    """Gaussian-windowed cosines exp(-|(x - c) / w|^2) cos(k . (x - c) + phase).
+
+    Bumps (..., B, n) at points (P, n) give values (..., P, B) and, with
+    `gradient`, also coordinate gradients (..., P, B, n).  Leading axes of the bump
+    arrays, such as a bank's element axis, broadcast.
+    """
+    d = pts[:, None, :] - centers[..., None, :, :]
+    window = np.exp(-np.sum((d / widths[..., None, :, :]) ** 2, axis=-1))
+    phase = np.einsum("...pbk,...bk->...pb", d, waves) + phases[..., None, :]
+    wc = window * np.cos(phase)
+    if not gradient:
+        return wc
+    grads = (-2.0 * d / widths[..., None, :, :] ** 2) * wc[..., None] \
+        - (window * np.sin(phase))[..., None] * waves[..., None, :, :]
     return wc, grads
 
 
-def _combination_field(construction: Dict[str, np.ndarray], which: str) -> FunctionField:
-    """T + shrink * sum_i amp_i * bump_i as a vectorized scalar field."""
-    centers = construction["centers"]
-    widths = construction["widths"]
-    waves = construction["waves"]
-    phases = construction["phases"]
-    coef = construction["shrink"] * construction[which]
+def _bump_field(bumps: Tuple[np.ndarray, ...], coef: np.ndarray) -> FunctionField:
+    """x^0 + sum_i coef_i * bump_i: one sheet of a sampled element."""
 
     def value(pts):
-        pts2 = pts.reshape(-1, pts.shape[-1])
-        vals, _ = _bump_basis(pts2, centers, widths, waves, phases)
-        return (pts2[:, 0] + vals @ coef).reshape(pts.shape[:-1])
+        flat = pts.reshape(-1, pts.shape[-1])
+        return (flat[:, 0] + _bump_basis(flat, *bumps) @ coef).reshape(pts.shape[:-1])
 
     def gradient(pts):
-        pts2 = pts.reshape(-1, pts.shape[-1])
-        _, grads = _bump_basis(pts2, centers, widths, waves, phases)
+        _, grads = _bump_basis(pts.reshape(-1, pts.shape[-1]), *bumps, gradient=True)
         g = np.einsum("pbk,b->pk", grads, coef)
         g[:, 0] += 1.0
         return g.reshape(pts.shape)
 
     return FunctionField(value, gradient)
+
+
+@dataclass(frozen=True, eq=False)
+class ElementBank(Sequence):
+    """Certified sampled elements as one struct of arrays on one certification grid.
+
+    Row k is element k.  centers, widths, waves (K, MAX_BUMPS, n) and phases
+    (K, MAX_BUMPS) hold its bumps padded to MAX_BUMPS slots; a padded slot has zero
+    amplitude and unit width, so it adds exact zeros.  amps and coef = shrink * amps
+    are (2, K, MAX_BUMPS), sheet a then sheet b.  The bank is a read-only sequence:
+    `bank[k]` is a `SampledElement` view of row k, `bank[a:b]` a bank of those rows.
+    """
+
+    centers: np.ndarray
+    widths: np.ndarray
+    waves: np.ndarray
+    phases: np.ndarray
+    amps: np.ndarray
+    coef: np.ndarray
+    counts: np.ndarray          # real bumps per row
+    shrink: np.ndarray
+    indices: np.ndarray         # draw index per row
+    min_eigenvalue: np.ndarray
+    grid: np.ndarray
+
+    @classmethod
+    def pack(cls, kept: List[Tuple[Dict[str, np.ndarray], float]], grid) -> "ElementBank":
+        """Bank of the (construction, min_eigenvalue) draws that sampling kept."""
+        cons = [c for c, _ in kept]
+        counts = np.array([len(c["phases"]) for c in cons])
+        real = np.arange(MAX_BUMPS) < counts[:, None]  # real slots, in construction order
+
+        def padded(key, fill=0.0):
+            out = np.full(real.shape + cons[0][key].shape[1:], fill)
+            out[real] = np.concatenate([c[key] for c in cons])
+            return out
+
+        shrink = np.array([c["shrink"] for c in cons])
+        amps = np.stack([padded("amp_a"), padded("amp_b")])
+        return cls(centers=padded("centers"), widths=padded("widths", 1.0),
+                   waves=padded("waves"), phases=padded("phases"), amps=amps,
+                   coef=shrink[:, None] * amps, counts=counts, shrink=shrink,
+                   indices=np.array([c["index"] for c in cons]),
+                   min_eigenvalue=np.array([e for _, e in kept]), grid=grid)
+
+    def __len__(self) -> int:
+        return len(self.shrink)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return replace(self, centers=self.centers[k], widths=self.widths[k],
+                           waves=self.waves[k], phases=self.phases[k], amps=self.amps[:, k],
+                           coef=self.coef[:, k], counts=self.counts[k], shrink=self.shrink[k],
+                           indices=self.indices[k], min_eigenvalue=self.min_eigenvalue[k])
+        k = range(len(self))[k]
+        nb, index = self.counts[k], int(self.indices[k])
+        # copies: a kept pair holds its own row, not the bank
+        bumps = tuple(np.array(getattr(self, key)[k, :nb]) for key in BUMP_KEYS)
+        amp_a, amp_b = np.array(self.amps[:, k, :nb])
+        coef_a, coef_b = np.array(self.coef[:, k, :nb])
+        construction = dict(zip(BUMP_KEYS, bumps), amp_a=amp_a, amp_b=amp_b,
+                            shrink=float(self.shrink[k]), index=index)
+        pair = CausalElementPair(a=_bump_field(bumps, coef_a), b=_bump_field(bumps, coef_b),
+                                 description=f"sampled[{index}]")
+        return SampledElement(pair, construction, self.grid, float(self.min_eigenvalue[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +215,15 @@ class _GridContext:
 
     The obstruction matrix is linear in the frame gradients (fa, fb) and the coupling
     z, so T's blocks (fa = fb = fT, z = 0) plus s times a draw's bump blocks give the
-    element's blocks.  The shrink boosts each point to the rest frame of fT, which
-    needs fT future timelike on the whole grid.  Each draw maps its gradients with
-    `SpacetimeModel.to_frame`: re-evaluating a vielbein table costs a small fraction
-    of a draw, and the table is not held for the whole run.  Both sweeps run per
-    slice of CERTIFY_BLOCK_POINTS points through `cone._grid_min`, which in 4D
-    eigensolves only the blocks whose eigenvalue bracket reaches the slice minimum.
+    element's blocks.  Each draw maps its gradients with `SpacetimeModel.to_frame`:
+    re-evaluating a vielbein table costs a small fraction of a draw, and the table is
+    not held for the whole run.  Both sweeps run per slice of CERTIFY_BLOCK_POINTS
+    points through `cone._grid_min`, which in 4D eigensolves only the blocks whose
+    eigenvalue bracket reaches the slice minimum (a 4D element takes about 0.3 s on
+    the 17^4 grid, 1.1 s with dense sweeps; one thread, 2-vCPU x86 VM).
     """
 
+    @np.errstate(all="ignore")  # a non-finite frame fails the time-slicing check
     def __init__(self, model: SpacetimeModel, grid: np.ndarray):
         self.model = model
         self.grid = grid
@@ -175,9 +241,10 @@ class _GridContext:
         self.generators = (None if model.dimension == 2 else _block_generators(
             make_representation(model.dimension), OBSTRUCTION_BLOCKS_4D))
 
+    @np.errstate(all="ignore")  # a non-finite frame fails the certificate
     def perturbation(self, c: Dict[str, np.ndarray]):
         """Frame gradients (fa, fb) and coupling z of a draw's bumps on the grid."""
-        V, Gr = _bump_basis(self.grid, c["centers"], c["widths"], c["waves"], c["phases"])
+        V, Gr = _bump_basis(self.grid, *(c[key] for key in BUMP_KEYS), gradient=True)
         ga, gb = (np.einsum("pbk,b->pk", Gr, c[key]) for key in ("amp_a", "amp_b"))
         fa, fb = self.model.to_frame(self.grid, np.stack([ga, gb]))
         return fa, fb, self.mass * (V @ c["amp_a"] - V @ c["amp_b"])
@@ -224,7 +291,8 @@ def _draw_construction(rng: np.random.Generator, model: SpacetimeModel,
 
 
 def _build_element(index: int, seed: int, ctx: _GridContext,
-                   amplitude: float) -> Optional[SampledElement]:
+                   amplitude: float) -> Optional[Tuple[Dict[str, np.ndarray], float]]:
+    """(construction, certified min eigenvalue) of draw `index`, or None if discarded."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     c = _draw_construction(rng, ctx.model, amplitude)
     trivial = not (np.any(c["amp_a"]) or np.any(c["amp_b"]))
@@ -245,28 +313,20 @@ def _build_element(index: int, seed: int, ctx: _GridContext,
 
     c["shrink"] = float(s_final)
     c["index"] = index
-    pair = CausalElementPair(a=_combination_field(c, "amp_a"),
-                             b=_combination_field(c, "amp_b"),
-                             description=f"sampled[{index}]")
-    return SampledElement(pair=pair, construction=c,
-                          certified_grid=ctx.grid, min_eigenvalue=final_eig)
+    return c, final_eig
 
 
 def sample_causal_elements(model: SpacetimeModel, count: int, seed: int, *,
                            grid: Optional[np.ndarray] = None,
-                           amplitude: float = 1.0) -> List[SampledElement]:
+                           amplitude: float = 1.0) -> ElementBank:
     """Draw `count` random certified cone elements, deterministically per seed.
 
-    Each element is T + s * bumps on both sheets.  The obstruction matrix is affine
-    in s, so the largest s in [0, 1] keeping it PSD on the certification grid is
-    solved exactly per point: boosted to the rest frame of dT, T's blocks are a
-    multiple of the identity and the bound is one smallest eigenvalue of the boosted
-    bumps.  The element keeps SAFETY_FACTOR times it, and an eigenvalue sweep of the
-    final element on the grid certifies it.  The shrink only ever reduces
-    amplitudes, never grows them.  Elements whose shrink underflows are discarded
-    with a log entry; more than 50% discards aborts.  The rest frame needs dT future
-    timelike at every grid point, and `amplitude` must be finite (ValueError
-    otherwise).
+    Each element is T + s * bumps on both sheets, with s in (0, 1] SAFETY_FACTOR
+    times the exact largest shrink (module docstring), certified by an eigenvalue
+    sweep of the final element on the grid.  Elements whose shrink underflows are
+    discarded with a log entry; more than 50% discards aborts.  dT must be future
+    timelike at every grid point and `amplitude` finite (ValueError otherwise).
+    Returns the kept elements as one `ElementBank` on the one grid.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -289,7 +349,7 @@ def sample_causal_elements(model: SpacetimeModel, count: int, seed: int, *,
     if len(kept) < (count + 1) // 2:
         raise RuntimeError(f"{count - len(kept)} of {count} sampled elements failed "
                            "certification; the model resists random cone sampling")
-    return kept
+    return ElementBank.pack(kept, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -321,49 +381,20 @@ class OracleVerdict:
         return self.kind != "contradiction"
 
 
-def _packed_bumps(elements: Sequence[SampledElement], dimension: int):
-    """Bump parameters of every element, padded to MAX_BUMPS slots.
-
-    A padded slot has zero amplitude and unit width, so it adds exact zeros.
-    """
-    cons = [el.construction for el in elements]
-    counts = np.array([len(c["phases"]) for c in cons], dtype=int)
-    # (element, slot) of every real bump, in construction order
-    rows = np.repeat(np.arange(len(cons)), counts)
-    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-    def scatter(key, fill, shape=()):
-        out = np.full((len(cons), MAX_BUMPS) + shape, fill)
-        out[rows, slots] = np.concatenate([c[key] for c in cons])
-        return out
-
-    shrink = np.repeat([c["shrink"] for c in cons], counts)
-    coef = np.zeros((2, len(cons), MAX_BUMPS))
-    for side, which in enumerate(("amp_a", "amp_b")):
-        coef[side, rows, slots] = shrink * np.concatenate([c[which] for c in cons])
-    return (scatter("centers", 0.0, (dimension,)), scatter("widths", 1.0, (dimension,)),
-            scatter("waves", 0.0, (dimension,)), scatter("phases", 0.0), coef)
-
-
-def _element_values(elements: Sequence[SampledElement], s1: MixedState,
-                    s2: MixedState) -> np.ndarray:
+def _element_values(elements: ElementBank, s1: MixedState, s2: MixedState) -> np.ndarray:
     """Ordering functional of every element in one contraction, grouped sheet-wise
     so that identical states give exact zeros."""
     pq = np.stack([np.asarray(s1.point, dtype=float), np.asarray(s2.point, dtype=float)])
     xi, phi = float(s1.xi), float(s2.xi)
-    if not elements:
-        return np.empty(0)
-    centers, widths, waves, phases, coef = _packed_bumps(elements, pq.shape[1])
-    d = pq[None, :, None, :] - centers[:, None, :, :]             # (K, 2, bumps, n)
-    window = np.exp(-np.sum((d / widths[:, None]) ** 2, axis=-1))
-    wc = window * np.cos(np.einsum("kpbn,kbn->kpb", d, waves) + phases[:, None, :])
-    av, bv = (pq[:, 0] + np.einsum("kpb,kb->kp", wc, c) for c in coef)
+    wc = _bump_basis(pq, *(getattr(elements, key) for key in BUMP_KEYS))  # (K, 2, bumps)
+    av, bv = (pq[:, 0] + np.einsum("kpb,kb->kp", wc, c) for c in elements.coef)
     return (phi * av[:, 1] - xi * av[:, 0]) + ((1.0 - phi) * bv[:, 1] - (1.0 - xi) * bv[:, 0])
 
 
-def mc_check(state1, state2, elements: Sequence[SampledElement],
+def mc_check(state1, state2, elements: ElementBank,
              decision, *, model: Optional[SpacetimeModel] = None) -> OracleVerdict:
-    """Evaluate the ordering functional of every element between the two states.
+    """Evaluate the ordering functional of every element of the bank between the two
+    states, in one contraction of its padded rows.
 
     A related decision contradicted by any value below -1e-9 is a Contradiction.
     For not-related decisions with the base relation holding and distinct internal
@@ -375,26 +406,21 @@ def mc_check(state1, state2, elements: Sequence[SampledElement],
     values = _element_values(elements, s1, s2)
     k_min = int(np.argmin(values)) if len(values) else None
     v_min = float(values[k_min]) if len(values) else 0.0
+    verdict = partial(OracleVerdict, min_value=v_min, min_element=k_min, checked=len(values))
 
     if decision.related:
         if v_min < -NEGATIVE_TOL:
-            return OracleVerdict(kind="contradiction", min_value=v_min, min_element=k_min,
-                                 checked=len(values),
-                                 note=f"element {k_min} decreases along a related pair")
-        return OracleVerdict(kind="consistent", min_value=v_min, min_element=k_min,
-                             checked=len(values))
+            return verdict("contradiction",
+                           note=f"element {k_min} decreases along a related pair")
+        return verdict("consistent")
 
     if not decision.base_related or s1.xi == s2.xi or model is None:
-        note = "" if model is not None else "no model supplied for witness construction"
-        return OracleVerdict(kind="witness_unavailable", min_value=v_min,
-                             min_element=k_min, checked=len(values), note=note)
+        return verdict("witness_unavailable", note="" if model is not None
+                       else "no model supplied for witness construction")
 
     try:
         _, curve = max_weighted_length(s1.point, s2.point, model, return_curve=True)
         pair = witness_element(curve, s1.xi, s2.xi, model)
     except (InvalidCurveError, ValueError) as exc:
-        return OracleVerdict(kind="witness_unavailable", min_value=v_min,
-                             min_element=k_min, checked=len(values), note=str(exc))
-    margin = -ordering_gap(pair, s1, s2)
-    return OracleVerdict(kind="witness_separates", min_value=v_min, min_element=k_min,
-                         witness_margin=float(margin), checked=len(values))
+        return verdict("witness_unavailable", note=str(exc))
+    return verdict("witness_separates", witness_margin=-ordering_gap(pair, s1, s2))

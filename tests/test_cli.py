@@ -202,10 +202,12 @@ def test_nan_frame_between_validation_samples_exits_one(tmp_path, capsys):
         "dimension": 4, "metric": {"kind": "vielbein4d", "frame": frame},
         "mass": {"kind": "constant", "re": 1.0, "im": 0.0},
         "domain": {"box": [[-1, 1]] * 4}}, indent=1))
-    with np.errstate(invalid="ignore"):
-        code, out, err = run(capsys, "decide", "--model", str(path), "--p=0,0.1,0,0",
-                             "--xi", "0.1", "--q=0.8,0.1,0,0", "--phi", "0.3")
+    code, out, err = run(capsys, "decide", "--model", str(path), "--p=0,0.1,0,0",
+                         "--xi", "0.1", "--q=0.8,0.1,0,0", "--phi", "0.3")
     assert code == 1 and out == ""
+    # numpy warns of nothing ahead of the one error line
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("twosheet: error:")
     assert "not finite" in err
 
 

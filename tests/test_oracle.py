@@ -1,6 +1,8 @@
 """Random certified cone elements and the Monte-Carlo consistency check."""
 
+import gc
 import os
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +18,7 @@ from twosheet.cone import (
     pointwise_min_eigenvalues,
 )
 from twosheet.geometry import MixedState, SpacetimeModel
-from twosheet.oracle import mc_check, sample_causal_elements, thread_count
+from twosheet.oracle import ElementBank, mc_check, sample_causal_elements, thread_count
 
 REP2 = make_representation(2)
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
@@ -115,7 +117,7 @@ def test_sampling_rejects_a_nan_frame():
     m = SpacetimeModel.with_vielbein(
         [["sqrt(x)", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
          ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="causal time slicing"):
+    with pytest.raises(ValueError, match="causal time slicing"):
         sample_causal_elements(m, 1, 1, grid=certification_grid(m, per_axis=5))
 
 
@@ -164,14 +166,14 @@ def test_shrink_is_the_exact_root(name, per_axis, count):
     els = sample_causal_elements(m, count, 31, grid=grid)
     assert len(els) == count
     for el in els:
-        c = dict(el.construction)
+        c = el.construction
         s_exact = c["shrink"] / oracle.SAFETY_FACTOR
+        bumps = tuple(c[key] for key in oracle.BUMP_KEYS)
 
         def min_eig(s):
             # independent route: the element field at shrink s, through cone.py
-            c["shrink"] = s
-            pair = SimpleNamespace(a=oracle._combination_field(c, "amp_a"),
-                                   b=oracle._combination_field(c, "amp_b"))
+            pair = SimpleNamespace(a=oracle._bump_field(bumps, s * c["amp_a"]),
+                                   b=oracle._bump_field(bumps, s * c["amp_b"]))
             return float(pointwise_min_eigenvalues(pair, grid, m, rep).min())
 
         gap = s_exact - _bisected_shrink(min_eig)
@@ -215,21 +217,53 @@ def test_identical_states_evaluate_to_exact_zero(model, elements):
     assert verdict.checked == len(elements)
 
 
-def test_batched_values_match_the_ordering_gap(model):
-    els = sample_causal_elements(model, 40, 5)
+@pytest.mark.parametrize("name,count,per_axis", [
+    ("box2", 40, None), ("flat2d", 40, None), ("vielbein4d", 24, 7)])
+def test_batched_values_match_the_ordering_gap(model, name, count, per_axis):
+    m = model if name == "box2" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
+    grid = certification_grid(m, per_axis=per_axis)
+    els = sample_causal_elements(m, count, 5, grid=grid)
     assert {len(el.construction["phases"]) for el in els} == {2, 3, 4}
+    box = m.domain_box
     rng = np.random.default_rng(6)
     for _ in range(5):
-        s1 = MixedState(rng.uniform(-2, 2, 2), float(rng.uniform()))
-        s2 = MixedState(rng.uniform(-2, 2, 2), float(rng.uniform()))
+        s1 = MixedState(rng.uniform(box[:, 0], box[:, 1]), float(rng.uniform()))
+        s2 = MixedState(rng.uniform(box[:, 0], box[:, 1]), float(rng.uniform()))
         values = oracle._element_values(els, s1, s2)
         expect = [ordering_gap(el.pair, s1, s2) for el in els]
         np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12)
 
 
-def test_mc_check_without_elements(model):
+def test_bank_slices_are_rows_of_the_bank(model, elements):
+    assert isinstance(elements, ElementBank)
+    s1, s2 = MixedState(np.array([-0.3, 0.2]), 0.25), MixedState(np.array([1.1, -0.4]), 0.7)
+    whole = oracle._element_values(elements, s1, s2)
+    for a, b in ((0, 5), (3, 12), (7, 8), (-4, None)):
+        part = elements[a:b]
+        assert isinstance(part, ElementBank) and part.grid is elements.grid
+        np.testing.assert_array_equal(oracle._element_values(part, s1, s2), whole[a:b])
+        assert ([el.construction["index"] for el in part]
+                == [el.construction["index"] for el in elements][a:b])
+    last = elements[-1]
+    assert last.construction["index"] == elements[len(elements) - 1].construction["index"]
+    with pytest.raises(IndexError):
+        elements[len(elements)]
+
+
+def test_view_pairs_hold_no_bank_and_no_grid(model):
+    bank = sample_causal_elements(model, 4, 99)
+    refs = [weakref.ref(bank.grid)] + [weakref.ref(getattr(bank, key))
+                                       for key in oracle.BUMP_KEYS + ("coef",)]
+    pairs = [el.pair for el in bank]
+    del bank
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert pairs[0].description.startswith("sampled[")
+
+
+def test_mc_check_without_elements(model, elements):
     s1, s2 = ((0.0, 0.0), 0.0), ((1.8, 0.1), 1.0)
-    verdict = mc_check(s1, s2, [], decide(s1, s2, model), model=model)
+    verdict = mc_check(s1, s2, elements[:0], decide(s1, s2, model), model=model)
     assert verdict.kind == "consistent"
     assert verdict.min_value == 0.0 and verdict.min_element is None
     assert verdict.checked == 0

@@ -250,6 +250,16 @@ class SpacetimeModel:
             return self.omega(points)[..., None] * g
         return np.einsum("...am,...m->...a", self.frame_matrices(points), g)
 
+    def time_frame(self, points) -> np.ndarray:
+        """Flat-frame derivative f_a = e_a^0 of the time function T(x) = x^0: the
+        frame's time column, evaluating only its expressions on a vielbein model."""
+        pts = np.asarray(points, dtype=float)
+        if self.metric_kind == "vielbein4d":
+            return np.stack([row[0](pts) for row in self.vielbein], axis=-1)
+        e0 = np.zeros(pts.shape)
+        e0[..., 0] = 1.0
+        return self.to_frame(pts, e0)
+
     def from_frame(self, points, f) -> np.ndarray:
         """Coordinate gradients g with to_frame(points, g) = f (the inverse map)."""
         f = np.asarray(f, dtype=float)

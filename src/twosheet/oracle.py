@@ -7,7 +7,10 @@ largest shrink that keeps the obstruction matrix PSD on a grid) and evaluates th
 defining inequality directly, hunting for contradictions the main code path cannot see.
 
 The kept elements form one `ElementBank`: padded arrays, packed once, that `mc_check`
-contracts for all elements at once.  `_bump_basis` evaluates the bumps everywhere.
+contracts for all elements at once.  `_bump_basis` evaluates the bumps at scattered
+points (element fields, `mc_check`, grids that are not a tensor product); on a
+tensor-product certification grid a draw is assembled from per-axis factors by
+`_separable_draw`, since each bump's window and phase factor split per axis.
 
 The shrink is exact per grid point.  A local Lorentz boost L acts on the obstruction
 matrix by a spin congruence, diag(S, S)^H M(fa, fb, z) diag(S, S) = M(L fa, L fb, z),
@@ -20,6 +23,7 @@ exists only where dT is future timelike, which sampling requires on the whole gr
 from __future__ import annotations
 
 import logging
+import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -109,6 +113,41 @@ def _bump_basis(pts: np.ndarray, centers, widths, waves, phases, gradient: bool 
     grads = (-2.0 * d / widths[..., None, :, :] ** 2) * wc[..., None] \
         - (window * np.sin(phase))[..., None] * waves[..., None, :, :]
     return wc, grads
+
+
+def _tensor_axes(grid: np.ndarray) -> Optional[List[np.ndarray]]:
+    """Per-axis coordinates of a grid whose rows are exactly
+    `meshgrid(*axes, indexing="ij")`, as `certification_grid` lays them out; else None."""
+    axes = [np.unique(col) for col in grid.T]
+    if math.prod(len(x) for x in axes) != len(grid):
+        return None
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(grid.shape)
+    return axes if np.array_equal(mesh, grid) else None
+
+
+def _separable_draw(axes: List[np.ndarray], c: Dict[str, np.ndarray]):
+    """Sheet values (2, P) and coordinate gradients (2, P, n) of a draw's bumps on the
+    tensor grid of `axes`, from per-axis factors instead of a point-by-bump basis.
+
+    On axis k bump b has g = exp(-(d / w)^2 + i kappa d) and h = dg/dx_k, d = x_k - c.
+    Sheet s's value is Re sum_b amp_sb e^{i phase_b} prod_k g_bk, and swapping h_bj
+    in for g_bj gives its d/dx_j: output q = 0 is the value, q = 1 + j the d/dx_j.
+    """
+    n, nb = len(axes), len(c["phases"])
+    # (sheet, output, bump, mesh so far), the phase folded into the coefficients
+    acc = (np.stack([c["amp_a"], c["amp_b"]]) * np.exp(1j * c["phases"]))[:, None, :, None]
+    for k, x in enumerate(axes):
+        d = x - c["centers"][:, k, None]
+        w, kappa = c["widths"][:, k, None], c["waves"][:, k, None]
+        f = np.stack([np.exp(-(d / w) ** 2 + 1j * kappa * d)] * (n + 1))  # (output, bump, x)
+        f[k + 1] *= -2.0 * d / w ** 2 + 1j * kappa
+        if k < n - 1:
+            acc = (acc[..., None] * f[:, :, None, :]).reshape(2, n + 1, nb, -1)
+    # last axis: Re sum_b acc f as one real product, re/im stacked on the bump axis
+    out = np.swapaxes(np.concatenate([acc.real, -acc.imag], axis=2), 2, 3) \
+        @ np.concatenate([f.real, f.imag], axis=1)
+    out = out.reshape(2, n + 1, -1)
+    return out[:, 0], np.moveaxis(out[:, 1:], 1, -1).copy()
 
 
 def _bump_field(bumps: Tuple[np.ndarray, ...], coef: np.ndarray) -> FunctionField:
@@ -215,23 +254,24 @@ class _GridContext:
 
     The obstruction matrix is linear in the frame gradients (fa, fb) and the coupling
     z, so T's blocks (fa = fb = fT, z = 0) plus s times a draw's bump blocks give the
-    element's blocks.  Each draw maps its gradients with `SpacetimeModel.to_frame`:
-    re-evaluating a vielbein table costs a small fraction of a draw, and the table is
-    not held for the whole run.  Both sweeps run per slice of CERTIFY_BLOCK_POINTS
-    points through `cone._grid_min`, which in 4D eigensolves only the blocks whose
-    eigenvalue bracket reaches the slice minimum (a 4D element takes about 0.3 s on
-    the 17^4 grid, 1.1 s with dense sweeps; one thread, 2-vCPU x86 VM).
+    element's blocks.  On a tensor-product grid (`axes` set) a draw's bumps come from
+    per-axis factors (`_separable_draw`), otherwise from `_bump_basis` at every point.
+    Each draw maps its gradients with `SpacetimeModel.to_frame`: re-evaluating a
+    vielbein table costs a small fraction of a draw, and the table is not held for
+    the whole run.  Both sweeps run per slice of CERTIFY_BLOCK_POINTS points through
+    `cone._grid_min`, which in 4D eigensolves only the blocks whose eigenvalue
+    bracket reaches the slice minimum.  One thread, 2-vCPU x86 VM: a flat2d element
+    takes about 1.7 ms on the 101^2 grid (5.0 ms with the dense draw), and a flat4d
+    or vielbein4d element about 0.15 s on the 17^4 grid (0.6 s with dense sweeps).
     """
 
     @np.errstate(all="ignore")  # a non-finite frame fails the time-slicing check
     def __init__(self, model: SpacetimeModel, grid: np.ndarray):
         self.model = model
         self.grid = grid
+        self.axes = _tensor_axes(grid)
         self.mass = model.mass_at(grid)
-        # frame derivative of the time function T(x) = x^0
-        e0 = np.zeros(grid.shape)
-        e0[:, 0] = 1.0
-        fT = model.to_frame(grid, e0)
+        fT = model.time_frame(grid)
         if not np.min(fT[:, 0] - np.linalg.norm(fT[:, 1:], axis=-1)) > 0.0:
             # the exact shrink boosts to the rest frame of dT, so dT must be future
             # timelike (not null, spacelike or NaN)
@@ -244,10 +284,20 @@ class _GridContext:
     @np.errstate(all="ignore")  # a non-finite frame fails the certificate
     def perturbation(self, c: Dict[str, np.ndarray]):
         """Frame gradients (fa, fb) and coupling z of a draw's bumps on the grid."""
+        (va, vb), grads = self.draw(c)
+        fa, fb = self.model.to_frame(self.grid, grads)
+        if not np.all(np.isfinite(fa)) and np.all(np.isfinite(grads)):
+            # __init__ reads only the frame's time column; the rest is first read here
+            raise ValueError("the model's frame is not finite on the sampling grid")
+        return fa, fb, self.mass * (va - vb)
+
+    def draw(self, c: Dict[str, np.ndarray]):
+        """Sheet values (2, P) and coordinate gradients (2, P, n) of a draw's bumps."""
+        if self.axes is not None:
+            return _separable_draw(self.axes, c)
         V, Gr = _bump_basis(self.grid, *(c[key] for key in BUMP_KEYS), gradient=True)
-        ga, gb = (np.einsum("pbk,b->pk", Gr, c[key]) for key in ("amp_a", "amp_b"))
-        fa, fb = self.model.to_frame(self.grid, np.stack([ga, gb]))
-        return fa, fb, self.mass * (V @ c["amp_a"] - V @ c["amp_b"])
+        amps = (c["amp_a"], c["amp_b"])
+        return [V @ a for a in amps], np.stack([np.einsum("pbk,b->pk", Gr, a) for a in amps])
 
     def _grid_min(self, block) -> float:
         """Smallest obstruction eigenvalue of (fa, fb, z) = block(sl) over the grid's

@@ -130,7 +130,7 @@ def test_diagonal_weight_rejected_but_mass_vanishes():
         m.weight(pts)
 
 
-@pytest.mark.parametrize("model", [
+FRAME_MODELS = pytest.mark.parametrize("model", [
     SpacetimeModel.minkowski(2, mass=1.0),
     SpacetimeModel.minkowski(4, mass=1.0),
     modelfile.load(os.path.join(MODELS, "conformal2d.json")),
@@ -141,6 +141,9 @@ def test_diagonal_weight_rejected_but_mass_vanishes():
                                   ["0", "0", "0", "1 + 0.05*x"]],
                                  mass=1.0, box=[[-2, 2]] * 4),
 ], ids=["minkowski2d", "minkowski4d", "conformal2d", "vielbein4d", "vielbein4d-mixed"])
+
+
+@FRAME_MODELS
 def test_frame_gradient_map_round_trips(model):
     rng = np.random.default_rng(5)
     n = model.dimension
@@ -150,6 +153,15 @@ def test_frame_gradient_map_round_trips(model):
     np.testing.assert_array_equal(
         f, np.einsum("...am,...m->...a", model.frame_matrices(pts), g))
     np.testing.assert_allclose(model.from_frame(pts, f), g, rtol=0, atol=1e-12)
+
+
+@FRAME_MODELS
+def test_time_frame_is_to_frame_of_the_time_gradient(model):
+    # only the frame's time column is evaluated, with the full map's exact bytes
+    pts = np.random.default_rng(6).uniform(-1.5, 1.5, size=(50, model.dimension))
+    e0 = np.zeros(pts.shape)
+    e0[:, 0] = 1.0
+    assert model.time_frame(pts).tobytes() == model.to_frame(pts, e0).tobytes()
 
 
 # ---------------------------------------------------------------------------

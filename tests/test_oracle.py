@@ -121,6 +121,15 @@ def test_sampling_rejects_a_nan_frame():
         sample_causal_elements(m, 1, 1, grid=certification_grid(m, per_axis=5))
 
 
+def test_sampling_rejects_a_nan_frame_off_the_time_column():
+    # dT reads only the frame's time column, so the NaN shows first in a draw
+    m = SpacetimeModel.with_vielbein(
+        [["1", "0", "0", "0"], ["0", "sqrt(x)", "0", "0"], ["0", "0", "1", "0"],
+         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4)
+    with pytest.raises(ValueError, match="frame is not finite"):
+        sample_causal_elements(m, 4, 1, grid=certification_grid(m, per_axis=5))
+
+
 def test_4d_sampling_certifies_on_its_grid():
     m4 = SpacetimeModel.minkowski(4, mass=1.0, box=[[-1.5, 1.5]] * 4)
     grid = certification_grid(m4, per_axis=7)
@@ -202,6 +211,71 @@ def test_bracketed_sweep_matches_the_dense_sweep(name, monkeypatch):
     assert len(bracketed) == 3
     assert ([(el.construction["shrink"], el.min_eigenvalue) for el in bracketed]
             == [(el.construction["shrink"], el.min_eigenvalue) for el in dense])
+
+
+# ---------------------------------------------------------------------------
+# the per-axis factored draw against the point-by-bump draw
+
+
+def _load(name):
+    return TILTED if name == "tilted" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
+
+
+def _close(x, ref, rtol=1e-13):
+    assert np.max(np.abs(x - ref)) <= rtol * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name,per_axis", [("flat2d", None), ("vielbein4d", 7),
+                                           ("tilted", None)])
+def test_factored_draw_matches_the_dense_draw(name, per_axis):
+    m = _load(name)
+    grid = certification_grid(m, per_axis=per_axis)
+    ctx = oracle._GridContext(m, grid)
+    assert ctx.axes is not None  # the certification grid takes the factored path
+    for i in range(3):
+        c = oracle._draw_construction(np.random.default_rng(i), m, 1.0)
+        V, Gr = oracle._bump_basis(grid, *(c[key] for key in oracle.BUMP_KEYS), gradient=True)
+        (va, vb), (ga, gb) = ctx.draw(c)
+        _close(ga, np.einsum("pbk,b->pk", Gr, c["amp_a"]))
+        _close(gb, np.einsum("pbk,b->pk", Gr, c["amp_b"]))
+        _close(ctx.perturbation(c)[2], m.mass_at(grid) * (V @ c["amp_a"] - V @ c["amp_b"]))
+
+
+@pytest.mark.parametrize("name,count", [("flat2d", 6), ("scalar2d", 6), ("conformal2d", 6),
+                                        ("flat4d", 2), ("vielbein4d", 2)])
+def test_factored_shrinks_match_the_dense_draw(name, count, monkeypatch):
+    m = _load(name)
+    factored = sample_causal_elements(m, count, 17)
+    monkeypatch.setattr(oracle, "_tensor_axes", lambda grid: None)
+    dense = sample_causal_elements(m, count, 17)
+    np.testing.assert_array_equal(factored.indices, dense.indices)
+    np.testing.assert_allclose(factored.shrink, dense.shrink, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(factored.min_eigenvalue, dense.min_eigenvalue,
+                               rtol=1e-14, atol=0)
+
+
+def test_a_shuffled_grid_takes_the_dense_path(model):
+    grid = certification_grid(model, per_axis=41)
+    shuffled = grid[np.random.default_rng(4).permutation(len(grid))]
+    assert oracle._GridContext(model, grid).axes is not None
+    assert oracle._GridContext(model, shuffled).axes is None
+    els = sample_causal_elements(model, 6, 5, grid=shuffled)
+    assert len(els) > 0
+    for el in els:
+        assert is_causal_element(el.pair, model, REP2, grid=shuffled).passed
+
+
+@pytest.mark.parametrize("name", ["flat4d", "vielbein4d"])
+def test_4d_bank_ignores_worker_count(name, monkeypatch):
+    m = _load(name)
+    grid = certification_grid(m, per_axis=7)
+    monkeypatch.setenv("TWOSHEET_THREADS", "1")
+    one = sample_causal_elements(m, 4, 23, grid=grid)
+    monkeypatch.setenv("TWOSHEET_THREADS", "2")
+    two = sample_causal_elements(m, 4, 23, grid=grid)
+    for key in ("centers", "widths", "waves", "phases", "amps", "coef", "counts",
+                "shrink", "indices", "min_eigenvalue"):
+        assert getattr(one, key).tobytes() == getattr(two, key).tobytes(), key
 
 
 # ---------------------------------------------------------------------------

@@ -412,12 +412,11 @@ def witness_certificate_4d(w: Sequence[float], theta: float, m: complex) -> np.n
 # grid certification
 
 
-def certification_grid(model: SpacetimeModel, per_axis: Optional[int] = None,
-                       box: Optional[np.ndarray] = None) -> np.ndarray:
-    """Regular (N, n) grid over the model box (or a sub-box)."""
+def certification_grid(model: SpacetimeModel, per_axis: Optional[int] = None) -> np.ndarray:
+    """Regular (N, n) grid over the model box, `indexing="ij"` order: per_axis points
+    per axis, by default the model's `resolutions.certification`."""
     per_axis = per_axis or int(model.resolutions["certification"])
-    box = model.domain_box if box is None else np.asarray(box, dtype=float)
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in model.domain_box]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dimension)
 
 
@@ -567,8 +566,14 @@ def witness_element(curve: CausalCurve, xi: float, phi: float,
 
 
 def witness_tube_grid(curve: CausalCurve, radius: float, per_sample: int = 5) -> np.ndarray:
-    """Points covering a spatial tube around the curve (certification scope)."""
-    offsets = np.linspace(-radius, radius, per_sample)
+    """Points covering a spatial tube around the curve (certification scope): the
+    curve shifted along each spatial axis by `per_sample` offsets spanning
+    [-radius, radius], and by 0, so the curve itself is always in the tube."""
+    if not np.isfinite(radius):
+        raise ValueError(f"tube radius must be finite, got {radius}")
+    if per_sample < 1:
+        raise ValueError(f"per_sample must be >= 1, got {per_sample}")
+    offsets = np.union1d(np.linspace(-radius, radius, per_sample), [0.0])
     pts = []
     dim = curve.dimension
     for off in offsets:

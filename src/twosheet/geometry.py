@@ -853,8 +853,7 @@ def _resolve_method(model: SpacetimeModel, method: str) -> str:
 
 @np.errstate(all="ignore")  # a non-finite frame fails an explicit check; numpy need not warn
 def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int] = None,
-                        refine: bool = True, return_curve: bool = False,
-                        method: str = "auto"):
+                        return_curve: bool = False, method: str = "auto"):
     """Supremal weighted length over future-directed causal curves p -> q.
 
     Closed form on flat constant-mass models; causal-lattice DP plus polyline
@@ -890,11 +889,8 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
         # the relation came from the causal straight chord: start from the diagonal
         nodes = p + np.linspace(0.0, 1.0, steps + 1)[:, None] * (q - p)
         nodes[-1] = q
-    if refine:
-        hx = min(abs(dt) / max(nt - 1, 1), 0.05)
-        value, nodes = _refine_polyline(model, nodes, hx=max(hx, 1e-4), nsub=nsub)
-    else:
-        value = float(np.sum(_segment_values(model, nodes[:-1], nodes[1:], nsub=nsub)))
+    hx = min(abs(dt) / max(nt - 1, 1), 0.05)
+    value, nodes = _refine_polyline(model, nodes, hx=max(hx, 1e-4), nsub=nsub)
 
     if return_curve:
         return value, _polyline_to_curve(nodes)

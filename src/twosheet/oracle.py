@@ -6,11 +6,12 @@ elements (a global time function T plus Gaussian-windowed cosine bumps, scaled b
 largest shrink that keeps the obstruction matrix PSD on a grid) and evaluates the
 defining inequality directly, hunting for contradictions the main code path cannot see.
 
+Sampling certifies on the model's certification grid, `resolutions.certification`
+points per axis.  That grid is a tensor product, so `_separable_draw` assembles a
+draw from per-axis factors: each bump's window and phase factor split per axis.
+`_bump_basis` evaluates the bumps at scattered points (element fields, `mc_check`).
 The kept elements form one `ElementBank`: padded arrays, packed once, that `mc_check`
-contracts for all elements at once.  `_bump_basis` evaluates the bumps at scattered
-points (element fields, `mc_check`, grids that are not a tensor product); on a
-tensor-product certification grid a draw is assembled from per-axis factors by
-`_separable_draw`, since each bump's window and phase factor split per axis.
+contracts for all elements at once.
 
 The shrink is exact per grid point.  A local Lorentz boost L acts on the obstruction
 matrix by a spin congruence, diag(S, S)^H M(fa, fb, z) diag(S, S) = M(L fa, L fb, z),
@@ -23,7 +24,6 @@ exists only where dT is future timelike, which sampling requires on the whole gr
 from __future__ import annotations
 
 import logging
-import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -113,16 +113,6 @@ def _bump_basis(pts: np.ndarray, centers, widths, waves, phases, gradient: bool 
     grads = (-2.0 * d / widths[..., None, :, :] ** 2) * wc[..., None] \
         - (window * np.sin(phase))[..., None] * waves[..., None, :, :]
     return wc, grads
-
-
-def _tensor_axes(grid: np.ndarray) -> Optional[List[np.ndarray]]:
-    """Per-axis coordinates of a grid whose rows are exactly
-    `meshgrid(*axes, indexing="ij")`, as `certification_grid` lays them out; else None."""
-    axes = [np.unique(col) for col in grid.T]
-    if math.prod(len(x) for x in axes) != len(grid):
-        return None
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(grid.shape)
-    return axes if np.array_equal(mesh, grid) else None
 
 
 def _separable_draw(axes: List[np.ndarray], c: Dict[str, np.ndarray]):
@@ -250,26 +240,27 @@ def _rest_frame(fT: np.ndarray, fa: np.ndarray, fb: np.ndarray, z: np.ndarray):
 
 
 class _GridContext:
-    """Element-independent data on the certification grid, computed once.
+    """Element-independent data on the model's certification grid, computed once.
 
-    The obstruction matrix is linear in the frame gradients (fa, fb) and the coupling
-    z, so T's blocks (fa = fb = fT, z = 0) plus s times a draw's bump blocks give the
-    element's blocks.  On a tensor-product grid (`axes` set) a draw's bumps come from
-    per-axis factors (`_separable_draw`), otherwise from `_bump_basis` at every point.
-    Each draw maps its gradients with `SpacetimeModel.to_frame`: re-evaluating a
-    vielbein table costs a small fraction of a draw, and the table is not held for
-    the whole run.  Both sweeps run per slice of CERTIFY_BLOCK_POINTS points through
-    `cone._grid_min`, which in 4D eigensolves only the blocks whose eigenvalue
-    bracket reaches the slice minimum.  One thread, 2-vCPU x86 VM: a flat2d element
-    takes about 1.7 ms on the 101^2 grid (5.0 ms with the dense draw), and a flat4d
-    or vielbein4d element about 0.15 s on the 17^4 grid (0.6 s with dense sweeps).
+    `grid` is `certification_grid(model)`, the `indexing="ij"` mesh of the per-axis
+    coordinates `axes`, from which `_separable_draw` builds each draw's bumps.  The
+    obstruction matrix is linear in the frame gradients (fa, fb) and the coupling z,
+    so T's blocks (fa = fb = fT, z = 0) plus s times a draw's bump blocks give the
+    element's blocks.  Each draw maps its gradients with `SpacetimeModel.to_frame`:
+    re-evaluating a vielbein table costs a small fraction of a draw, and the table is
+    not held for the whole run.  Both sweeps run per slice of CERTIFY_BLOCK_POINTS
+    points through `cone._grid_min`, which in 4D eigensolves only the blocks whose
+    eigenvalue bracket reaches the slice minimum.  One thread, 2-vCPU x86 VM: a
+    flat2d element takes about 1.7 ms on the 101^2 grid, and a flat4d or vielbein4d
+    element about 0.15 s on the 17^4 grid.
     """
 
     @np.errstate(all="ignore")  # a non-finite frame fails the time-slicing check
-    def __init__(self, model: SpacetimeModel, grid: np.ndarray):
+    def __init__(self, model: SpacetimeModel):
         self.model = model
-        self.grid = grid
-        self.axes = _tensor_axes(grid)
+        per_axis = int(model.resolutions["certification"])
+        self.axes = [np.linspace(lo, hi, per_axis) for lo, hi in model.domain_box]
+        self.grid = grid = certification_grid(model)
         self.mass = model.mass_at(grid)
         fT = model.time_frame(grid)
         if not np.min(fT[:, 0] - np.linalg.norm(fT[:, 1:], axis=-1)) > 0.0:
@@ -284,20 +275,12 @@ class _GridContext:
     @np.errstate(all="ignore")  # a non-finite frame fails the certificate
     def perturbation(self, c: Dict[str, np.ndarray]):
         """Frame gradients (fa, fb) and coupling z of a draw's bumps on the grid."""
-        (va, vb), grads = self.draw(c)
+        (va, vb), grads = _separable_draw(self.axes, c)
         fa, fb = self.model.to_frame(self.grid, grads)
         if not np.all(np.isfinite(fa)) and np.all(np.isfinite(grads)):
             # __init__ reads only the frame's time column; the rest is first read here
             raise ValueError("the model's frame is not finite on the sampling grid")
         return fa, fb, self.mass * (va - vb)
-
-    def draw(self, c: Dict[str, np.ndarray]):
-        """Sheet values (2, P) and coordinate gradients (2, P, n) of a draw's bumps."""
-        if self.axes is not None:
-            return _separable_draw(self.axes, c)
-        V, Gr = _bump_basis(self.grid, *(c[key] for key in BUMP_KEYS), gradient=True)
-        amps = (c["amp_a"], c["amp_b"])
-        return [V @ a for a in amps], np.stack([np.einsum("pbk,b->pk", Gr, a) for a in amps])
 
     def _grid_min(self, block) -> float:
         """Smallest obstruction eigenvalue of (fa, fb, z) = block(sl) over the grid's
@@ -367,13 +350,13 @@ def _build_element(index: int, seed: int, ctx: _GridContext,
 
 
 def sample_causal_elements(model: SpacetimeModel, count: int, seed: int, *,
-                           grid: Optional[np.ndarray] = None,
                            amplitude: float = 1.0) -> ElementBank:
     """Draw `count` random certified cone elements, deterministically per seed.
 
     Each element is T + s * bumps on both sheets, with s in (0, 1] SAFETY_FACTOR
     times the exact largest shrink (module docstring), certified by an eigenvalue
-    sweep of the final element on the grid.  Elements whose shrink underflows are
+    sweep of the final element on `certification_grid(model)`, whose size per axis
+    is the model's `resolutions.certification`.  Elements whose shrink underflows are
     discarded with a log entry; more than 50% discards aborts.  dT must be future
     timelike at every grid point and `amplitude` finite (ValueError otherwise).
     Returns the kept elements as one `ElementBank` on the one grid.
@@ -384,8 +367,7 @@ def sample_causal_elements(model: SpacetimeModel, count: int, seed: int, *,
         raise ValueError(f"amplitude must be finite, got {amplitude}")
     if model.mass_kind == "diagonal":
         raise ValueError("diagonal models have a decoupled cone; sample per sheet instead")
-    pts = certification_grid(model) if grid is None else np.asarray(grid, dtype=float)
-    ctx = _GridContext(model, pts)
+    ctx = _GridContext(model)
 
     workers = thread_count(count)
     if workers == 1:
@@ -399,7 +381,7 @@ def sample_causal_elements(model: SpacetimeModel, count: int, seed: int, *,
     if len(kept) < (count + 1) // 2:
         raise RuntimeError(f"{count - len(kept)} of {count} sampled elements failed "
                            "certification; the model resists random cone sampling")
-    return ElementBank.pack(kept, pts)
+    return ElementBank.pack(kept, ctx.grid)
 
 
 # ---------------------------------------------------------------------------

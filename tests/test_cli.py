@@ -247,6 +247,19 @@ def test_witness_rejects_equal_states(flat_model, tmp_path, capsys):
     assert code == 1 and err != ""
 
 
+@pytest.mark.parametrize("option,message", [
+    ("--radius=nan", "radius must be finite"), ("--radius=inf", "radius must be finite"),
+    ("--per-sample=0", "per_sample must be >= 1")])
+def test_witness_rejects_a_bad_tube(flat_model, tmp_path, capsys, option, message):
+    curve = curve_csv(tmp_path)
+    code, out, err = run(capsys, "witness", "--model", flat_model, "--curve", curve,
+                         "--xi", "0", "--phi", "1", option)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("twosheet: error:")
+    assert message in err
+
+
 def test_witness_rejects_malformed_curve(flat_model, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n0,0\n1,0\n")

@@ -366,6 +366,28 @@ def test_witness_preconditions():
         witness_element(spacelike, 1.0, 0.0, m)
 
 
+@pytest.mark.parametrize("per_sample", [1, 2, 3, 4, 5])
+def test_witness_tube_always_holds_the_curve(per_sample):
+    curve = straight_curve([0.0, 0.0, 0.0, 0.0], [1.0, 0.2, 0.1, 0.0], n=5)
+    tube = witness_tube_grid(curve, 0.1, per_sample=per_sample)
+    for pt in curve.points:
+        assert np.any(np.all(tube == pt, axis=1))
+    # an even count or 1 spans [-r, r] without 0, so 0 joins as one more offset;
+    # the 3 spatial axes share the zero shift, the curve itself
+    offsets = per_sample + (per_sample % 2 == 0 or per_sample == 1)
+    assert len(tube) == (3 * (offsets - 1) + 1) * len(curve.points)
+
+
+def test_witness_tube_rejects_bad_input():
+    curve = straight_curve([0.0, 0.0], [1.0, 0.2], n=5)
+    for radius in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            witness_tube_grid(curve, radius)
+    for per_sample in (0, -3):
+        with pytest.raises(ValueError, match="per_sample must be >= 1"):
+            witness_tube_grid(curve, 0.1, per_sample=per_sample)
+
+
 def test_ordering_gap_is_exactly_zero_for_identical_states():
     m = flat2()
     pair = CausalElementPair.from_expressions("t + 0.1*sin(x)", "t - 0.3*x", 2)

@@ -359,7 +359,9 @@ def test_refined_polyline_invariants(name, speed):
         q[1:] = np.clip(q[1:], box[1:, 0], box[1:, 1])
 
         val, curve = max_weighted_length(p, q, m, method="dp", return_curve=True)
-        unrefined = max_weighted_length(p, q, m, method="dp", refine=False)
+        # the lattice path that refinement starts from, summed unrefined
+        lattice = _diamond_path(m, p, q, max(int(m.resolutions["time_steps"]) // 2, 1))
+        unrefined = np.sum(_segment_values(m, lattice[:-1], lattice[1:], nsub=nsub))
         # the curve resamples each polyline segment at 4 points
         nodes = curve.points[::4]
         vals, ok = _segment_values(m, nodes[:-1], nodes[1:], nsub=nsub, need_mask=True)

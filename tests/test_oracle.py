@@ -3,6 +3,7 @@
 import gc
 import os
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,12 @@ from twosheet.oracle import ElementBank, mc_check, sample_causal_elements, threa
 
 REP2 = make_representation(2)
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+
+
+def _at(m, per_axis):
+    """The model with `per_axis` certification grid points per axis (None keeps it)."""
+    return m if per_axis is None else replace(
+        m, resolutions={**m.resolutions, "certification": per_axis})
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +103,7 @@ def test_sampling_rejections(model):
 
 def test_nan_certificate_fails_closed(model):
     # a NaN draw makes every eigenvalue NaN; the certificate must reject it
-    ctx = oracle._GridContext(model, certification_grid(model, per_axis=21))
+    ctx = oracle._GridContext(_at(model, 21))
     assert np.isnan(ctx.min_eigenvalue(ctx.perturbation(
         oracle._draw_construction(np.random.default_rng(3), model, np.nan)), 0.5))
     assert all(oracle._build_element(i, 3, ctx, np.nan) is None for i in range(4))
@@ -106,9 +113,10 @@ def test_sampling_rejects_a_null_time_slicing():
     # frame rows make dT = (1, 1, 0, 0): the time function is null, not timelike
     m = SpacetimeModel.with_vielbein(
         [["1", "0", "0", "0"], ["1", "1", "0", "0"], ["0", "0", "1", "0"],
-         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4)
+         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4,
+        resolutions={"certification": 5})
     with pytest.raises(ValueError, match="causal time slicing"):
-        sample_causal_elements(m, 4, 1, grid=certification_grid(m, per_axis=5))
+        sample_causal_elements(m, 4, 1)
 
 
 def test_sampling_rejects_a_nan_frame():
@@ -116,24 +124,26 @@ def test_sampling_rejects_a_nan_frame():
     # time-slicing check must fail closed on NaN
     m = SpacetimeModel.with_vielbein(
         [["sqrt(x)", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
-         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4)
+         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4,
+        resolutions={"certification": 5})
     with pytest.raises(ValueError, match="causal time slicing"):
-        sample_causal_elements(m, 1, 1, grid=certification_grid(m, per_axis=5))
+        sample_causal_elements(m, 1, 1)
 
 
 def test_sampling_rejects_a_nan_frame_off_the_time_column():
     # dT reads only the frame's time column, so the NaN shows first in a draw
     m = SpacetimeModel.with_vielbein(
         [["1", "0", "0", "0"], ["0", "sqrt(x)", "0", "0"], ["0", "0", "1", "0"],
-         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4)
+         ["0", "0", "0", "1"]], mass=1.0, box=[[-1, 1]] * 4,
+        resolutions={"certification": 5})
     with pytest.raises(ValueError, match="frame is not finite"):
-        sample_causal_elements(m, 4, 1, grid=certification_grid(m, per_axis=5))
+        sample_causal_elements(m, 4, 1)
 
 
 def test_4d_sampling_certifies_on_its_grid():
-    m4 = SpacetimeModel.minkowski(4, mass=1.0, box=[[-1.5, 1.5]] * 4)
-    grid = certification_grid(m4, per_axis=7)
-    els = sample_causal_elements(m4, 2, 7, grid=grid)
+    m4 = SpacetimeModel.minkowski(4, mass=1.0, box=[[-1.5, 1.5]] * 4,
+                                  resolutions={"certification": 7})
+    els = sample_causal_elements(m4, 2, 7)
     rep4 = make_representation(4)
     for el in els:
         assert pointwise_min_eigenvalues(el.pair, el.certified_grid, m4,
@@ -165,14 +175,18 @@ TILTED = SpacetimeModel.with_vielbein(
      ["0.2*t", "0", "0.1*y", "1 + 0.05*x"]], mass=0.8 + 0.6j, box=[[-2, 2]] * 4)
 
 
+def _load(name):
+    return TILTED if name == "tilted" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
+
+
 @pytest.mark.parametrize("name,per_axis,count", [
     ("flat2d", None, 6), ("conformal2d", None, 6), ("scalar2d", None, 6),
     ("flat4d", 7, 2), ("vielbein4d", 7, 2), ("tilted", 7, 2)])
 def test_shrink_is_the_exact_root(name, per_axis, count):
-    m = TILTED if name == "tilted" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
+    m = _at(_load(name), per_axis)
     rep = make_representation(m.dimension)
-    grid = certification_grid(m, per_axis=per_axis)
-    els = sample_causal_elements(m, count, 31, grid=grid)
+    grid = certification_grid(m)
+    els = sample_causal_elements(m, count, 31)
     assert len(els) == count
     for el in els:
         c = el.construction
@@ -203,11 +217,10 @@ def _dense_grid_min(fa, fb, z, generators=None):
 @pytest.mark.parametrize("name", ["flat4d", "vielbein4d", "tilted"])
 def test_bracketed_sweep_matches_the_dense_sweep(name, monkeypatch):
     # 10^4 points: two CERTIFY_BLOCK_POINTS slices
-    m = TILTED if name == "tilted" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
-    grid = certification_grid(m, per_axis=10)
-    bracketed = sample_causal_elements(m, 3, 1000, grid=grid)
+    m = _at(_load(name), 10)
+    bracketed = sample_causal_elements(m, 3, 1000)
     monkeypatch.setattr(oracle, "_grid_min", _dense_grid_min)
-    dense = sample_causal_elements(m, 3, 1000, grid=grid)
+    dense = sample_causal_elements(m, 3, 1000)
     assert len(bracketed) == 3
     assert ([(el.construction["shrink"], el.min_eigenvalue) for el in bracketed]
             == [(el.construction["shrink"], el.min_eigenvalue) for el in dense])
@@ -217,28 +230,36 @@ def test_bracketed_sweep_matches_the_dense_sweep(name, monkeypatch):
 # the per-axis factored draw against the point-by-bump draw
 
 
-def _load(name):
-    return TILTED if name == "tilted" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
+def _dense_draw(grid, c):
+    """Sheet values (2, P) and coordinate gradients (2, P, n) of a draw's bumps at
+    every grid point from the point-by-bump basis: the reference for the factored draw."""
+    V, Gr = oracle._bump_basis(grid, *(c[key] for key in oracle.BUMP_KEYS), gradient=True)
+    amps = (c["amp_a"], c["amp_b"])
+    return [V @ a for a in amps], np.stack([np.einsum("pbk,b->pk", Gr, a) for a in amps])
 
 
 def _close(x, ref, rtol=1e-13):
     assert np.max(np.abs(x - ref)) <= rtol * (1.0 + np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("name,per_axis", [("flat2d", None), ("vielbein4d", 7),
-                                           ("tilted", None)])
+@pytest.mark.parametrize("name,per_axis", [("flat2d", None), ("scalar2d", None),
+                                           ("vielbein4d", 7), ("tilted", None)])
 def test_factored_draw_matches_the_dense_draw(name, per_axis):
-    m = _load(name)
-    grid = certification_grid(m, per_axis=per_axis)
-    ctx = oracle._GridContext(m, grid)
-    assert ctx.axes is not None  # the certification grid takes the factored path
+    m = _at(_load(name), per_axis)
+    ctx = oracle._GridContext(m)
+    grid = certification_grid(m)
+    # the factored draw's row order is the "ij" mesh of the axes: it must be the grid's
+    mesh = np.stack(np.meshgrid(*ctx.axes, indexing="ij"), axis=-1).reshape(grid.shape)
+    assert mesh.tobytes() == ctx.grid.tobytes() == grid.tobytes()
     for i in range(3):
         c = oracle._draw_construction(np.random.default_rng(i), m, 1.0)
-        V, Gr = oracle._bump_basis(grid, *(c[key] for key in oracle.BUMP_KEYS), gradient=True)
-        (va, vb), (ga, gb) = ctx.draw(c)
-        _close(ga, np.einsum("pbk,b->pk", Gr, c["amp_a"]))
-        _close(gb, np.einsum("pbk,b->pk", Gr, c["amp_b"]))
-        _close(ctx.perturbation(c)[2], m.mass_at(grid) * (V @ c["amp_a"] - V @ c["amp_b"]))
+        (va, vb), (ga, gb) = oracle._separable_draw(ctx.axes, c)
+        (Va, Vb), (Ga, Gb) = _dense_draw(grid, c)
+        _close(va, Va)
+        _close(vb, Vb)
+        _close(ga, Ga)
+        _close(gb, Gb)
+        _close(ctx.perturbation(c)[2], m.mass_at(grid) * (Va - Vb))
 
 
 @pytest.mark.parametrize("name,count", [("flat2d", 6), ("scalar2d", 6), ("conformal2d", 6),
@@ -246,7 +267,8 @@ def test_factored_draw_matches_the_dense_draw(name, per_axis):
 def test_factored_shrinks_match_the_dense_draw(name, count, monkeypatch):
     m = _load(name)
     factored = sample_causal_elements(m, count, 17)
-    monkeypatch.setattr(oracle, "_tensor_axes", lambda grid: None)
+    grid = certification_grid(m)
+    monkeypatch.setattr(oracle, "_separable_draw", lambda axes, c: _dense_draw(grid, c))
     dense = sample_causal_elements(m, count, 17)
     np.testing.assert_array_equal(factored.indices, dense.indices)
     np.testing.assert_allclose(factored.shrink, dense.shrink, rtol=1e-14, atol=0)
@@ -254,25 +276,13 @@ def test_factored_shrinks_match_the_dense_draw(name, count, monkeypatch):
                                rtol=1e-14, atol=0)
 
 
-def test_a_shuffled_grid_takes_the_dense_path(model):
-    grid = certification_grid(model, per_axis=41)
-    shuffled = grid[np.random.default_rng(4).permutation(len(grid))]
-    assert oracle._GridContext(model, grid).axes is not None
-    assert oracle._GridContext(model, shuffled).axes is None
-    els = sample_causal_elements(model, 6, 5, grid=shuffled)
-    assert len(els) > 0
-    for el in els:
-        assert is_causal_element(el.pair, model, REP2, grid=shuffled).passed
-
-
 @pytest.mark.parametrize("name", ["flat4d", "vielbein4d"])
 def test_4d_bank_ignores_worker_count(name, monkeypatch):
-    m = _load(name)
-    grid = certification_grid(m, per_axis=7)
+    m = _at(_load(name), 7)
     monkeypatch.setenv("TWOSHEET_THREADS", "1")
-    one = sample_causal_elements(m, 4, 23, grid=grid)
+    one = sample_causal_elements(m, 4, 23)
     monkeypatch.setenv("TWOSHEET_THREADS", "2")
-    two = sample_causal_elements(m, 4, 23, grid=grid)
+    two = sample_causal_elements(m, 4, 23)
     for key in ("centers", "widths", "waves", "phases", "amps", "coef", "counts",
                 "shrink", "indices", "min_eigenvalue"):
         assert getattr(one, key).tobytes() == getattr(two, key).tobytes(), key
@@ -294,9 +304,8 @@ def test_identical_states_evaluate_to_exact_zero(model, elements):
 @pytest.mark.parametrize("name,count,per_axis", [
     ("box2", 40, None), ("flat2d", 40, None), ("vielbein4d", 24, 7)])
 def test_batched_values_match_the_ordering_gap(model, name, count, per_axis):
-    m = model if name == "box2" else modelfile.load(os.path.join(MODELS, f"{name}.json"))
-    grid = certification_grid(m, per_axis=per_axis)
-    els = sample_causal_elements(m, count, 5, grid=grid)
+    m = _at(model if name == "box2" else _load(name), per_axis)
+    els = sample_causal_elements(m, count, 5)
     assert {len(el.construction["phases"]) for el in els} == {2, 3, 4}
     box = m.domain_box
     rng = np.random.default_rng(6)

@@ -108,9 +108,10 @@ def decide(state1, state2, model: SpacetimeModel, *, method: str = "auto",
 
     related = base relation on the manifold AND achieved budget >= required budget
     (inclusive, within the method tolerance).  Null-separated points achieve 0, so
-    distinct internal coordinates across a null gap are never related.  A diagonal
-    internal operator is decided exactly (related iff xi == phi and p precedes q);
-    method and tol are then unused.
+    distinct internal coordinates across a null gap are never related.  The
+    marginal band is tol, else model.decision_band, else the method's default.  A
+    diagonal internal operator is decided exactly (related iff xi == phi and p
+    precedes q); method and tol are then unused.
     """
     s1 = _as_state(state1)
     s2 = _as_state(state2)
@@ -119,8 +120,8 @@ def decide(state1, state2, model: SpacetimeModel, *, method: str = "auto",
         return _diagonal_decision(s1, s2, is_causally_related(s1.point, s2.point, model))
 
     used = _resolve_method(model, method)
-    band = tol if tol is not None else (
-        CLOSED_DECISION_TOL if used == "closed" else DP_DECISION_TOL)
+    default = CLOSED_DECISION_TOL if used == "closed" else DP_DECISION_TOL
+    band = next(b for b in (tol, model.decision_band, default) if b is not None)
     required = required_proper_time(s1.xi, s2.xi, model)
 
     try:  # the base relation is max_weighted_length's first step
@@ -335,7 +336,7 @@ def fluctuate(model: SpacetimeModel, Phi: Union[str, Expression],
         raise ValueError("vector potentials come in pairs (one per sheet)")
 
     fluct = replace(model, mass_kind="scalar", mass_field=phi_expr,
-                    vector_potentials=(Av, Bv) if Av is not None else None, source=None)
+                    vector_potentials=(Av, Bv) if Av is not None else None)
     report = fluct.validate(samples_per_axis=33 if model.dimension == 2 else 9)
     if report["min_abs_weight"] <= 1e-12:
         warnings.warn("scalar weight vanishes on part of the domain; internal "

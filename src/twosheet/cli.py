@@ -170,10 +170,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_decide(args, model: SpacetimeModel) -> int:
-    band = args.band
-    if band is None:
-        band = modelfile.model_tolerances(model).get("decision_band")
-    d = decide((args.p, args.xi), (args.q, args.phi), model, method=args.method, tol=band)
+    d = decide((args.p, args.xi), (args.q, args.phi), model, method=args.method, tol=args.band)
     doc = {k: getattr(d, k) for k in ("related", "base_related", "marginal", "method",
                                       "required", "achieved", "slack", "band")}
     _emit(modelfile._json_layout(doc, _json_token) + "\n", args.out)

@@ -49,14 +49,6 @@ class FrameOperators:
     V: np.ndarray
     iV: np.ndarray
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        # attribute access V0, V1, ... for convenience in tests and dumps
-        if name.startswith("V") and name[1:].isdigit():
-            idx = int(name[1:])
-            if idx < len(self.vs):
-                return self.vs[idx]
-        raise AttributeError(name)
-
 
 @dataclass(frozen=True)
 class SpinRepresentation:

@@ -540,9 +540,9 @@ def witness_element(curve: CausalCurve, xi: float, phi: float,
         if not (np.all(theta > -0.5 * np.pi) and np.all(theta < 0.0)):
             raise ValueError("witness angle left (-pi/2, 0); curve violates the slack bound")
 
-    G = -eta
+    G = -eta  # the lengths' check rejected spacelike and past-directed samples; not null ones
     norm2 = np.sum(curve.tangents ** 2, axis=-1)
-    if np.any(G <= 1e-12 * np.maximum(norm2, 1e-300)) or np.any(w[..., 0] <= 0):
+    if np.any(G <= 1e-12 * np.maximum(norm2, 1e-300)):
         raise InvalidCurveError("witness construction needs a future-directed timelike curve")
 
     fa, fb = _witness_gradients(w, theta, weight, G)

@@ -102,10 +102,16 @@ class SpacetimeModel:
     metric_kind: 'minkowski' | 'conformal2d' | 'vielbein4d'
     mass_kind:   'constant'  | 'scalar'      | 'diagonal'
 
+    Frames come in two families.  The isotropic frame e_a^mu = Omega delta_a^mu
+    covers conformal2d (Omega the conformal factor) and minkowski (Omega = 1);
+    vielbein4d reads the user's 4x4 table e[a][mu].
+
     The diagonal kind means the internal operator has no off-diagonal part, so no
     inter-sheet weight exists; decision logic special-cases it and the weighted
-    functionals refuse to run.  Models are immutable: domain_box is a read-only
-    array and resolutions a read-only mapping.
+    functionals refuse to run.  decision_band, when set, is the marginal band that
+    `decide` uses unless its caller passes one; it must be positive and finite.
+    Models are immutable: domain_box is a read-only array and resolutions a
+    read-only mapping.
     """
 
     dimension: int
@@ -118,7 +124,7 @@ class SpacetimeModel:
     vector_potentials: Optional[Tuple[Sequence[Expression], Sequence[Expression]]] = None
     domain_box: Optional[np.ndarray] = None  # (n, 2) rows (lo, hi)
     resolutions: Mapping[str, Optional[int]] = field(default_factory=dict)
-    source: Optional[dict] = None  # raw model-file dict, kept for canonical dumps
+    decision_band: Optional[float] = None
 
     def __post_init__(self):
         if self.dimension not in (2, 4):
@@ -137,6 +143,11 @@ class SpacetimeModel:
             raise ValueError("vielbein4d metric needs 16 frame expressions")
         if self.mass_kind == "scalar" and self.mass_field is None:
             raise ValueError("scalar mass needs a field expression")
+        if self.decision_band is not None:
+            if not 0 < self.decision_band < np.inf:
+                raise ValueError(f"decision band must be positive and finite, "
+                                 f"got {self.decision_band!r}")
+            object.__setattr__(self, "decision_band", float(self.decision_band))
         box = [[-5.0, 5.0]] * self.dimension if self.domain_box is None else self.domain_box
         box = np.array(box, dtype=float).reshape(self.dimension, 2)  # a private copy
         if np.any(box[:, 0] >= box[:, 1]):
@@ -213,29 +224,30 @@ class SpacetimeModel:
             return self.mass_field(pts).astype(complex)
         return np.zeros(pts.shape[:-1], dtype=complex)
 
+    def _frame_scale(self, points):
+        """Omega of the isotropic frame, shaped to scale (..., n) vectors: the per-point
+        conformal factor on conformal2d, the scalar 1.0 on minkowski (exact, and no
+        per-point array on the hot path)."""
+        if self.metric_kind == "conformal2d":
+            return self.omega(points)[..., None]
+        return 1.0
+
     def frame_matrices(self, points) -> np.ndarray:
         """Vielbein tables E[..., a, mu] with v^mu = sum_a w^a E[a, mu]."""
         pts = np.asarray(points, dtype=float)
         if self.metric_kind == "vielbein4d":
             rows = [[self.vielbein[a][mu](pts) for mu in range(4)] for a in range(4)]
             return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-        eye = np.eye(self.dimension)
-        out = np.broadcast_to(eye, pts.shape[:-1] + eye.shape).copy()
-        if self.metric_kind == "conformal2d":
-            out = out * self.omega(pts)[..., None, None]
-        return out
+        return np.eye(self.dimension) * self.omega(pts)[..., None, None]
 
     def frame_components(self, points, velocities) -> np.ndarray:
         """Flat-frame components w^a of coordinate velocities v^mu at points."""
         pts = np.asarray(points, dtype=float)
-        v = np.asarray(velocities, dtype=float)
-        if self.metric_kind == "minkowski":
-            return np.broadcast_to(v, pts.shape).copy()
-        if self.metric_kind == "conformal2d":
-            return v / self.omega(pts)[..., None]
-        E = self.frame_matrices(pts)
-        vt = np.broadcast_to(v, pts.shape)
-        return np.linalg.solve(np.swapaxes(E, -1, -2), vt[..., None])[..., 0]
+        v = np.broadcast_to(np.asarray(velocities, dtype=float), pts.shape)
+        if self.metric_kind == "vielbein4d":
+            E = self.frame_matrices(pts)
+            return np.linalg.solve(np.swapaxes(E, -1, -2), v[..., None])[..., 0]
+        return v / self._frame_scale(pts)
 
     def to_frame(self, points, grads) -> np.ndarray:
         """Flat-frame derivatives f_a = e_a^mu g_mu of coordinate gradients g at points.
@@ -244,11 +256,14 @@ class SpacetimeModel:
         broadcast against the points.
         """
         g = np.asarray(grads, dtype=float)
+        if self.metric_kind == "vielbein4d":
+            return np.einsum("...am,...m->...a", self.frame_matrices(points), g)
         if self.metric_kind == "minkowski":
+            # Omega = 1 without the copy that 1.0 * g makes: the oracle maps every draw's
+            # fresh gradients, and that copy took ~10% of flat2d sampling (one thread,
+            # 2-vCPU x86 VM)
             return g
-        if self.metric_kind == "conformal2d":
-            return self.omega(points)[..., None] * g
-        return np.einsum("...am,...m->...a", self.frame_matrices(points), g)
+        return self._frame_scale(points) * g
 
     def time_frame(self, points) -> np.ndarray:
         """Flat-frame derivative f_a = e_a^0 of the time function T(x) = x^0: the
@@ -263,11 +278,9 @@ class SpacetimeModel:
     def from_frame(self, points, f) -> np.ndarray:
         """Coordinate gradients g with to_frame(points, g) = f (the inverse map)."""
         f = np.asarray(f, dtype=float)
-        if self.metric_kind == "minkowski":
-            return f
-        if self.metric_kind == "conformal2d":
-            return f / self.omega(points)[..., None]
-        return np.linalg.solve(self.frame_matrices(points), f[..., None])[..., 0]
+        if self.metric_kind == "vielbein4d":
+            return np.linalg.solve(self.frame_matrices(points), f[..., None])[..., 0]
+        return f / self._frame_scale(points)
 
     def frame_norm2(self, w) -> np.ndarray:
         """eta(w, w) on flat-frame components (negative for timelike)."""
@@ -417,13 +430,11 @@ def validate_curve(curve: CausalCurve, model: SpacetimeModel) -> CurveReport:
                        worst_violation=float(defect[worst]), worst_index=worst)
 
 
-def weighted_length(curve: CausalCurve, model: SpacetimeModel, upto: Optional[float] = None) -> float:
-    """Composite-Simpson value of the weighted proper-time functional up to `upto`."""
-    if curve.ts.shape[0] < MIN_CURVE_SAMPLES:
-        raise InvalidCurveError(
-            f"curves need at least {MIN_CURVE_SAMPLES} samples for the quadrature, "
-            f"got {curve.ts.shape[0]}"
-        )
+def _checked_integrand(curve: CausalCurve, model: SpacetimeModel):
+    """(integrand, w, eta, weight) of a future-directed causal curve: the weighted
+    proper-time integrand weight * sqrt(-eta) per sample, with the frame tangents w,
+    their eta(w, w) and the weight.  Raises InvalidCurveError naming the sample
+    with the worst causality defect, else the first past-directed one."""
     w, eta, defect, future = _curve_frame_data(curve, model)
     if np.any(defect > CURVE_TOL):
         idx = int(np.argmax(defect))
@@ -433,18 +444,27 @@ def weighted_length(curve: CausalCurve, model: SpacetimeModel, upto: Optional[fl
     if not np.all(future):
         idx = int(np.argmin(future))
         raise InvalidCurveError(f"tangent is not future-directed at sample {idx}")
+    weight = model.weight(curve.points)
+    return weight * np.sqrt(np.clip(-eta, 0.0, None)), w, eta, weight
+
+
+def weighted_length(curve: CausalCurve, model: SpacetimeModel) -> float:
+    """Composite-Simpson value of the weighted proper-time functional along the curve.
+
+    The curve needs MIN_CURVE_SAMPLES samples, and every tangent must be causal
+    and future-directed (InvalidCurveError names the failing sample).
+    """
+    if curve.ts.shape[0] < MIN_CURVE_SAMPLES:
+        raise InvalidCurveError(
+            f"curves need at least {MIN_CURVE_SAMPLES} samples for the quadrature, "
+            f"got {curve.ts.shape[0]}"
+        )
+    integrand = _checked_integrand(curve, model)[0]
     # scipy.integrate is imported here, not at module level: it dominates the
     # package's start-up, and only the two quadrature routines need it
-    from scipy.integrate import cumulative_simpson, simpson
+    from scipy.integrate import simpson
 
-    integrand = model.weight(curve.points) * np.sqrt(np.clip(-eta, 0.0, None))
-    if upto is None:
-        return float(simpson(integrand, x=curve.ts))
-    upto = float(upto)
-    if upto < curve.ts[0] - 1e-12 or upto > curve.ts[-1] + 1e-12:
-        raise DomainError(f"parameter {upto} outside [{curve.ts[0]}, {curve.ts[-1]}]")
-    cum = cumulative_simpson(integrand, x=curve.ts, initial=0.0)
-    return float(np.interp(upto, curve.ts, cum))
+    return float(simpson(integrand, x=curve.ts))
 
 
 def cumulative_weighted_length(curve: CausalCurve, model: SpacetimeModel) -> np.ndarray:
@@ -454,12 +474,8 @@ def cumulative_weighted_length(curve: CausalCurve, model: SpacetimeModel) -> np.
 
 def _cumulative_length(curve: CausalCurve, model: SpacetimeModel):
     """(running weighted length, w, eta, weight): the lengths with the frame tangents,
-    their eta(w, w) and the weight that its integrand weight * sqrt(-eta) used."""
-    w, eta, defect, future = _curve_frame_data(curve, model)
-    if np.any(defect > CURVE_TOL) or not np.all(future):
-        raise InvalidCurveError("curve must be future-directed and causal")
-    weight = model.weight(curve.points)
-    integrand = weight * np.sqrt(np.clip(-eta, 0.0, None))
+    their eta(w, w) and the weight of `_checked_integrand`."""
+    integrand, w, eta, weight = _checked_integrand(curve, model)
     if curve.ts.shape[0] >= 3:
         from scipy.integrate import cumulative_simpson
 

@@ -32,7 +32,7 @@ import numpy as np
 from .expressions import ExpressionError, parse_expression
 from .geometry import DEFAULT_RESOLUTIONS, ModelValidationError, SpacetimeModel
 
-__all__ = ["ModelFileError", "loads", "load", "dumps", "dump", "model_tolerances"]
+__all__ = ["ModelFileError", "loads", "load", "dumps", "dump"]
 
 _GRID_KEYS = ("time_steps", "space_steps", "certification")
 _TOP_KEYS = ("dimension", "metric", "mass", "vector_potentials", "domain",
@@ -191,7 +191,7 @@ def loads(text: str) -> SpacetimeModel:
                 raise ModelFileError(f"must be >= {floor}", f"resolutions.{k}", _line_of(text, k))
             resolutions[k] = v
 
-    tolerances: Dict[str, float] = {}
+    band = None
     if "tolerances" in raw:
         tol = raw["tolerances"]
         if not isinstance(tol, dict):
@@ -200,17 +200,16 @@ def loads(text: str) -> SpacetimeModel:
             if k != "decision_band":
                 raise ModelFileError("unknown tolerance (expected decision_band)",
                                      f"tolerances.{k}", _line_of(text, k))
-            if not isinstance(v, (int, float)) or not v > 0:
+            if not isinstance(v, (int, float)) or not 0 < v < np.inf:
                 raise ModelFileError("must be a positive number", f"tolerances.{k}",
                                      _line_of(text, k))
-            tolerances[k] = float(v)
+            band = float(v)
 
-    source = {"tolerances": tolerances} if tolerances else {}
     try:
         model = SpacetimeModel(dimension=dim, metric_kind=mkind,
                                mass_kind=qkind, mass=mass_value,
                                domain_box=box, resolutions=resolutions,
-                               source=source or None, **kw)
+                               decision_band=band, **kw)
     except ValueError as exc:
         raise ModelFileError(str(exc), "metric", _line_of(text, "metric")) from exc
     if mkind != "minkowski" or qkind == "scalar":
@@ -225,12 +224,6 @@ def loads(text: str) -> SpacetimeModel:
 def load(path: str) -> SpacetimeModel:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def model_tolerances(model: SpacetimeModel) -> Dict[str, float]:
-    if model.source and "tolerances" in model.source:
-        return dict(model.source["tolerances"])
-    return {}
 
 
 def _json_layout(value, scalar: Callable[[object], str], indent: int = 0) -> str:
@@ -269,9 +262,8 @@ def dumps(model: SpacetimeModel) -> str:
         doc["vector_potentials"] = {"A": [e.source for e in A], "B": [e.source for e in B]}
     doc["domain"] = {"box": [[float(lo), float(hi)] for lo, hi in model.domain_box]}
     doc["resolutions"] = {k: int(v) for k, v in model.resolutions.items() if v is not None}
-    tols = model_tolerances(model)
-    if tols:
-        doc["tolerances"] = tols
+    if model.decision_band is not None:
+        doc["tolerances"] = {"decision_band": model.decision_band}
     return _json_layout(doc, json.dumps) + "\n"
 
 

@@ -1,5 +1,9 @@
 """Relation decisions, cone surfaces, and mass-field fluctuations."""
 
+import dataclasses
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,11 @@ from twosheet.causality import (
     internal_gap,
     required_proper_time,
 )
+from twosheet.cli import main
 from twosheet.geometry import DomainError, MixedState, SpacetimeModel
+from twosheet.modelfile import load
+
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
 def flat2(mass=1.0, box=None):
@@ -103,6 +111,35 @@ def test_decisive_pair_is_not_marginal_unless_band_widened():
     assert not dec.marginal
     wide = decide(((0.0, 0.0), 0.0), ((2.0, 0.0), 1.0), m, tol=0.5)
     assert wide.marginal and wide.band == 0.5
+
+
+@pytest.fixture
+def banded_scalar2d(tmp_path):
+    with open(os.path.join(MODELS, "scalar2d.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["tolerances"] = {"decision_band": 0.5}
+    path = tmp_path / "banded.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_model_decision_band_serves_library_and_cli(banded_scalar2d, capsys):
+    s1, s2 = ((0.2, 0.1), 0.2), ((1.5, 0.6), 0.5)
+    model = load(banded_scalar2d)
+    assert model.decision_band == 0.5
+    assert decide(s1, s2, model).band == 0.5
+    assert decide(s1, s2, model, tol=0.25).band == 0.25  # the caller's band wins
+    argv = ["decide", "--model", banded_scalar2d, "--p", "0.2,0.1", "--xi", "0.2",
+            "--q", "1.5,0.6", "--phi", "0.5"]
+    for extra, band in (([], 0.5), (["--band", "0.25"], 0.25)):
+        assert main(argv + extra) == 0
+        assert json.loads(capsys.readouterr().out)["band"] == band
+
+
+@pytest.mark.parametrize("band", [0.0, -1e-3, float("nan"), float("inf")])
+def test_decision_band_must_be_positive_and_finite(band):
+    with pytest.raises(ValueError, match="decision band"):
+        SpacetimeModel.minkowski(2, decision_band=band)
 
 
 def test_decide_validates_inputs():
@@ -292,7 +329,8 @@ def test_fluctuation_keeps_the_base_model():
     np.testing.assert_array_equal(fluct.domain_box, base.domain_box)
     assert dict(fluct.resolutions) == dict(base.resolutions)
     assert fluct.conformal_factor is base.conformal_factor
-    assert fluct.mass_field.source == "1 + x*x" and fluct.source is None
+    assert fluct.mass_field.source == "1 + x*x" and fluct.decision_band is None
+    assert fluctuate(dataclasses.replace(base, decision_band=0.5), "1").decision_band == 0.5
 
     frame = [["1", "0", "0", "0"], ["0", "1 + 0.1*t", "0", "0"],
              ["0", "0", "1", "0"], ["0", "0", "0", "1"]]

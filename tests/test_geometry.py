@@ -11,6 +11,7 @@ import pytest
 
 from twosheet import geometry, modelfile
 from twosheet.causality import decide
+from twosheet.cone import witness_element
 from twosheet.geometry import (
     CausalCurve,
     DomainError,
@@ -164,6 +165,28 @@ def test_time_frame_is_to_frame_of_the_time_gradient(model):
     assert model.time_frame(pts).tobytes() == model.to_frame(pts, e0).tobytes()
 
 
+def test_minkowski_is_the_unit_isotropic_frame():
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.5, 1.5, size=(50, 2))
+    v = rng.normal(size=(50, 2))
+    g = rng.normal(size=(2, 50, 2))
+    flat, unit = SpacetimeModel.minkowski(2), SpacetimeModel.conformal("1")
+    for m in (flat, unit):
+        assert m.frame_components(pts, v).tobytes() == unit.frame_components(pts, v).tobytes()
+        assert m.to_frame(pts, g).tobytes() == unit.to_frame(pts, g).tobytes()
+        assert m.from_frame(pts, g).tobytes() == unit.from_frame(pts, g).tobytes()
+        assert m.frame_matrices(pts).tobytes() == unit.frame_matrices(pts).tobytes()
+        assert m.time_frame(pts).tobytes() == unit.time_frame(pts).tobytes()
+
+    flat4 = SpacetimeModel.minkowski(4)
+    pts4 = rng.uniform(-1.5, 1.5, size=(50, 4))
+    v4 = rng.normal(size=(50, 4))
+    g4 = rng.normal(size=(2, 50, 4))
+    assert flat4.frame_components(pts4, v4).tobytes() == v4.tobytes()
+    assert flat4.to_frame(pts4, g4).tobytes() == g4.tobytes()
+    assert flat4.from_frame(pts4, g4).tobytes() == g4.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # curves and lengths
 
@@ -217,6 +240,21 @@ def test_too_few_samples_rejected():
     c = straight_curve([0.0, 0.0], [1.0, 0.0], n=5)
     with pytest.raises(InvalidCurveError):
         weighted_length(c, m)
+
+
+@pytest.mark.parametrize("tangent,message", [
+    ([0.1, 1.0], "spacelike tangent at sample 7 (normalized defect 9.802e-01)"),
+    ([-1.0, 0.2], "tangent is not future-directed at sample 7"),
+], ids=["spacelike", "past-directed"])
+def test_every_length_names_the_bad_sample(tangent, message):
+    m = flat2()
+    curve = straight_curve([0.0, 0.0], [2.0, 0.5], n=33)
+    curve.tangents[7] = tangent
+    for length in (weighted_length, cumulative_weighted_length,
+                   lambda c, model: witness_element(c, 0.1, 0.9, model)):
+        with pytest.raises(InvalidCurveError) as err:
+            length(curve, m)
+        assert str(err.value) == message
 
 
 def test_cumulative_length_monotone_and_consistent():

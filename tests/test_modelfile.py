@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from twosheet.modelfile import ModelFileError, dump, dumps, load, loads, model_tolerances
+from twosheet.causality import fluctuate
+from twosheet.modelfile import ModelFileError, dump, dumps, load, loads
 
 FLAT = """{
   "dimension": 2,
@@ -52,7 +53,7 @@ def test_conformal_model_loads_with_options():
     assert m.mass == 0.8 + 0.6j
     assert m.resolutions["time_steps"] == 201
     assert m.conformal_factor.evaluate(t=0.0, x=0.0) == pytest.approx(1.0)
-    assert model_tolerances(m) == {"decision_band": 0.002}
+    assert m.decision_band == 0.002
 
 
 def test_vielbein_model_loads():
@@ -60,7 +61,7 @@ def test_vielbein_model_loads():
     assert m.metric_kind == "vielbein4d"
     assert m.vector_potentials is not None
     assert len(m.vector_potentials[0]) == 4
-    assert model_tolerances(m) == {}
+    assert m.decision_band is None
 
 
 def test_scalar_and_diagonal_masses():
@@ -85,7 +86,14 @@ def test_dump_and_load_files(tmp_path):
     dump(m, str(path))
     again = load(str(path))
     assert dumps(again) == dumps(m)
-    assert model_tolerances(again) == model_tolerances(m)
+    assert again.decision_band == m.decision_band
+
+
+def test_fluctuated_model_keeps_its_decision_band():
+    m = loads(CONFORMAL)
+    fluct = fluctuate(m, "1 + 0.1*t")
+    assert fluct.decision_band == 0.002
+    assert json.loads(dumps(fluct))["tolerances"] == {"decision_band": 0.002}
 
 
 def test_resolution_floors():
@@ -110,9 +118,12 @@ def test_resolution_floors():
     (lambda s: s.replace("[[-5.0, 5.0], [-5.0, 5.0]]",
                          "[[-5.0, 5.0], [5.0, -5.0]]"), "domain.box"),
     (lambda s: s[:-2] + ', "tolerances": {"decision_band": -1}}', "tolerances.decision_band"),
+    (lambda s: s[:-2] + ', "tolerances": {"decision_band": Infinity}}',
+     "tolerances.decision_band"),
     (lambda s: s[:-2] + ', "tolerances": {"foo": 1}}', "tolerances.foo"),
 ], ids=["dimension", "unknown-key", "metric-shape", "metric-kind", "mass-re",
-        "mass-kind", "box-rows", "box-order", "tolerance-sign", "tolerance-name"])
+        "mass-kind", "box-rows", "box-order", "tolerance-sign", "tolerance-infinite",
+        "tolerance-name"])
 def test_error_carries_key(mangle, key):
     with pytest.raises(ModelFileError) as err:
         loads(mangle(FLAT))

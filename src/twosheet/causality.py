@@ -45,6 +45,7 @@ __all__ = [
 COMPARISON_TOL = 1e-9       # inclusive threshold comparison: float-noise slack only
 CLOSED_DECISION_TOL = 1e-9  # marginal band around the threshold, closed-form values
 DP_DECISION_TOL = 2e-3      # marginal band for lattice lower bounds
+_CHORD_BLOCK_SAMPLES = 1 << 16  # chord samples per quadrature call: ~1 MB temporaries
 
 
 @dataclass
@@ -203,19 +204,20 @@ def _closed_cone_budget(model: SpacetimeModel, p: np.ndarray,
     return weighted, reach
 
 
-def _chord_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
-                  chunk: int = 4096) -> Tuple[np.ndarray, np.ndarray]:
+def _chord_budget(model: SpacetimeModel, p: np.ndarray,
+                  pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Straight-chord weighted lengths p -> target, with admissibility mask.
 
     Every chord is one segment with the exact velocity target - p, so a null
     target gets exactly 0.
     """
     nsub = 32 * int(model.resolutions["quadrature"])
+    block = max(1, _CHORD_BLOCK_SAMPLES // nsub)
     vals = np.empty(len(pts))
     ok = np.empty(len(pts), dtype=bool)
-    for s in range(0, len(pts), chunk):
-        vals[s:s + chunk], ok[s:s + chunk] = _segment_values(
-            model, p[None, :], pts[s:s + chunk], nsub=nsub, need_mask=True)
+    for s in range(0, len(pts), block):
+        vals[s:s + block], ok[s:s + block] = _segment_values(
+            model, p[None, :], pts[s:s + block], nsub=nsub, need_mask=True)
     return vals, ok
 
 

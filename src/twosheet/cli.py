@@ -36,15 +36,19 @@ _SELFTEST_SEED = 20260814
 # ---------------------------------------------------------------------------
 # formatting
 
+_NUMBER = "%.12g"  # 12 significant digits: the single source of numeric text
+
 
 def _fmt(x: float) -> str:
-    """12-significant-digit fixed format; the single source of numeric text."""
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x + 0.0:.12g}"
+    """One number as text; adding 0.0 prints -0.0 as 0 (nan and inf print as such)."""
+    return _NUMBER % (float(x) + 0.0)
+
+
+def _csv_rows(table) -> str:
+    """CSV lines of a 2D table, every value as `_fmt` prints it, in one format pass."""
+    table = np.asarray(table, dtype=float) + 0.0
+    row = ",".join([_NUMBER] * table.shape[1]) + "\n"
+    return (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 def _json_token(v) -> str:
@@ -53,10 +57,8 @@ def _json_token(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if np.isfinite(f):
-            return _fmt(f)
-        return json.dumps(_fmt(f))  # inf/nan as quoted strings: valid JSON
+        text = _fmt(v)
+        return text if np.isfinite(v) else json.dumps(text)  # quoted inf/nan: valid JSON
     if isinstance(v, str):
         return json.dumps(v)
     if v is None:
@@ -197,11 +199,8 @@ def _cmd_cone(args, model: SpacetimeModel) -> int:
     surface = future_cone((args.p, args.xi), model, grid,
                           method=args.method, time_steps=args.time_steps)
     header = ",".join(_AXIS_NAMES[model.dimension] + ["phi_max", "reachable"])
-    rows = [header]
-    for pt, phi, ok in zip(surface.points, surface.phi_max, surface.reachable):
-        coords = ",".join(_fmt(c) for c in pt)
-        rows.append(f"{coords},{_fmt(phi)},{1 if ok else 0}")
-    _emit("\n".join(rows) + "\n", args.out)
+    table = np.column_stack([surface.points, surface.phi_max, surface.reachable])
+    _emit(header + "\n" + _csv_rows(table), args.out)
     return 0
 
 
@@ -253,10 +252,9 @@ def _cmd_witness(args, model: SpacetimeModel) -> int:
         "certified": bool(min_eig >= -PSD_TOL and separation <= 0.0),
     }
 
-    rows = [",".join(["t", *(f"x{i}" for i in range(model.dimension)), "a", "b", "theta"])]
-    rows += [",".join(_fmt(c) for c in (t, *pt, a, b, th)) for t, pt, a, b, th
-             in zip(curve.ts, curve.points, wp.a_samples, wp.b_samples, wp.theta)]
-    _emit("\n".join(rows) + "\n", args.out)
+    header = ",".join(["t", *(f"x{i}" for i in range(model.dimension)), "a", "b", "theta"])
+    table = np.column_stack([curve.ts, curve.points, wp.a_samples, wp.b_samples, wp.theta])
+    _emit(header + "\n" + _csv_rows(table), args.out)
     _emit(modelfile._json_layout(report, _json_token) + "\n", args.report)
     return 0 if report["certified"] else 2
 

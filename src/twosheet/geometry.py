@@ -533,17 +533,17 @@ def is_causally_related(p, q, model: SpacetimeModel) -> bool:
 def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8, need_mask: bool = False):
     """Weighted lengths of straight segments a->b via midpoint composite quadrature.
 
-    a, b: (..., n) endpoint arrays.  Returns values (and optionally a causal+future
-    admissibility mask evaluated on the subsample points).  A non-finite frame norm
-    or weight at a sample inside the domain box raises ValueError.
+    a, b: (..., n) endpoint arrays.  Returns values (and optionally the causal+future
+    admissibility mask of the samples); a constant frame is mapped once per segment.
+    A non-finite frame norm or weight at a sample inside the box raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     delta = b - a
     fr = (np.arange(nsub) + 0.5) / nsub
     pts = a[..., None, :] + fr[:, None] * delta[..., None, :]
-    vel = np.broadcast_to(delta[..., None, :], pts.shape)
-    w = model.frame_components(pts, vel)
+    w = model.frame_components(pts[..., :1, :] if model.metric_kind == "minkowski" else pts,
+                               delta[..., None, :])  # minkowski: one sample stands for all
     eta = model.frame_norm2(w)
     speed = np.sqrt(np.clip(-eta, 0.0, None))
     vals = np.mean(model.weight(pts) * speed, axis=-1)

@@ -60,6 +60,11 @@ def _line_of(text: str, *names: str) -> int:
     return 1
 
 
+def _is_number(value) -> bool:
+    """A JSON number; true and false are Python ints, but not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _expr(source, text: str, key: str):
     if not isinstance(source, str):
         raise ModelFileError("expected an expression string", key, _line_of(text, key.split(".")[-1]))
@@ -127,10 +132,11 @@ def loads(text: str) -> SpacetimeModel:
     qkind = mass["kind"]
     mass_value = 0j
     if qkind == "constant":
-        try:
-            mass_value = complex(float(mass.get("re", 0.0)), float(mass.get("im", 0.0)))
-        except (TypeError, ValueError):
-            raise ModelFileError("re/im must be numbers", "mass.re", _line_of(text, "re", "mass"))
+        for part in ("re", "im"):
+            if not _is_number(mass.get(part, 0.0)):
+                raise ModelFileError("must be a number", f"mass.{part}",
+                                     _line_of(text, part, "mass"))
+        mass_value = complex(float(mass.get("re", 0.0)), float(mass.get("im", 0.0)))
     elif qkind == "scalar":
         if "phi" not in mass:
             raise ModelFileError("scalar mass needs a phi expression", "mass.phi",
@@ -162,13 +168,13 @@ def loads(text: str) -> SpacetimeModel:
         if not isinstance(dom, dict) or "box" not in dom:
             raise ModelFileError('expected {"box": [[lo, hi], ...]}', "domain",
                                  _line_of(text, "domain"))
-        try:
-            box = np.asarray(dom["box"], dtype=float)
-            if box.shape != (dim, 2):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ModelFileError(f"box must be {dim} [lo, hi] rows", "domain.box",
+        rows = dom["box"]
+        if (not isinstance(rows, list) or len(rows) != dim
+                or any(not isinstance(r, list) or len(r) != 2 or not all(map(_is_number, r))
+                       for r in rows)):
+            raise ModelFileError(f"box must be {dim} [lo, hi] rows of numbers", "domain.box",
                                  _line_of(text, "box", "domain"))
+        box = np.asarray(rows, dtype=float)
         if np.any(box[:, 0] >= box[:, 1]):
             raise ModelFileError("box rows need lo < hi", "domain.box",
                                  _line_of(text, "box", "domain"))
@@ -184,7 +190,7 @@ def loads(text: str) -> SpacetimeModel:
                 raise ModelFileError(f"unknown resolution (expected one of "
                                      f"{', '.join(DEFAULT_RESOLUTIONS)})",
                                      f"resolutions.{k}", _line_of(text, k))
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise ModelFileError("must be an integer", f"resolutions.{k}", _line_of(text, k))
             floor = 17 if k in _GRID_KEYS else 1
             if v < floor:
@@ -200,7 +206,7 @@ def loads(text: str) -> SpacetimeModel:
             if k != "decision_band":
                 raise ModelFileError("unknown tolerance (expected decision_band)",
                                      f"tolerances.{k}", _line_of(text, k))
-            if not isinstance(v, (int, float)) or not 0 < v < np.inf:
+            if not _is_number(v) or not 0 < v < np.inf:
                 raise ModelFileError("must be a positive number", f"tolerances.{k}",
                                      _line_of(text, k))
             band = float(v)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twosheet.cli import main
+from twosheet.cli import _csv_rows, _fmt, main
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -155,6 +155,19 @@ def test_cone_csv_structure(tmp_path, capsys):
     assert outside[2] == "nan" and outside[3] == "0"
     null_edge = by_point[(2.0, 2.0)]
     assert float(null_edge[2]) == pytest.approx(0.0, abs=1e-12)  # xi carried along
+
+
+def test_csv_writer_formats_like_fmt():
+    values = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1 + 0.2,
+              0.0, 1.0, -3.0, 2.0 ** 53, 123456789012.0]
+    assert [_fmt(v) for v in values[:6]] == ["0", "nan", "inf", "-inf",
+                                             "4.94065645841e-324", "1e+16"]
+    table = np.array(values).reshape(4, 3)
+    mixed = np.column_stack([np.random.default_rng(2).normal(size=(5, 2)) * 1e3,
+                             [True, False, True, True, False]])
+    for t in (table, table.T, mixed):
+        assert _csv_rows(t) == "".join(",".join(_fmt(v) for v in row) + "\n" for row in t)
+    assert _csv_rows(mixed).splitlines()[1].endswith(",0")  # booleans print as 1/0
 
 
 def test_cone_rejects_bad_grid(flat_model, capsys):

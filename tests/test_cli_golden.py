@@ -1,6 +1,7 @@
 """Golden CLI bytes: stdout and exit code of decide, distance and --dump-model on
-every file in models/, of witness along straight curves on four of them, and of
-short oracle runs in 2D and 4D, compared with tests/cli_golden.json.
+every file in models/, of cone on a 17x17 grid on every 2D file, of witness
+along straight curves on four of them, and of short oracle runs in 2D and 4D,
+compared with tests/cli_golden.json.
 
 Regenerate the golden file (only when an output change is intended and
 explained) with
@@ -29,6 +30,8 @@ GOLDEN = os.path.join(HERE, "cli_golden.json")
 PAIRS = {2: ("0.2,0.1", "1.5,0.6"), 4: ("0,0,0,0", "1.5,0.4,0.2,0.1")}
 # vielbein4d: related, but the straight chord between the two points is spacelike
 SPACELIKE_CHORD_PAIR = ("-2,-2,0,0", "2,1.3,0,0")
+# cone runs: source point and xi, inside every 2D model box
+CONE_SOURCE = ("--p=0.2,0.1", "--xi", "0.2")
 # witness runs: model -> (start, velocity, duration, samples, xi, phi, extra options)
 # along the straight timelike curve t -> start + t * velocity, t in [0, duration]
 WITNESS_CURVES = {
@@ -76,6 +79,11 @@ def _cases():
                 cases.append(["decide", name, *pq, "--xi", "0.2", "--phi", "0.5",
                               "--method", method])
             cases.append(["distance", name, *pq])
+        if doc["dimension"] == 2:
+            # a diagonal internal operator has no surface: one exit-1 case
+            for method in methods:
+                cases.append(["cone", name, *CONE_SOURCE, "--grid", "17x17",
+                              "--method", method])
         cases.append(["decide", name, "--dump-model", "--p=0,0", "--xi", "0", "--q=0,0",
                       "--phi", "0"])
     out = [(" ".join(c), [c[0], "--model", os.path.join(MODELS, c[1] + ".json"), *c[2:]],

@@ -12,6 +12,7 @@ import pytest
 from twosheet import geometry, modelfile
 from twosheet.causality import decide
 from twosheet.cone import witness_element
+from twosheet.expressions import parse_expression
 from twosheet.geometry import (
     CausalCurve,
     DomainError,
@@ -275,6 +276,86 @@ def test_reparameterization_invariance():
     bent = CausalCurve.from_samples(ts, pts)
     assert weighted_length(bent, m) == pytest.approx(weighted_length(plain, m),
                                                      abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# segment quadrature
+
+MODELS_2D = sorted(f[:-5] for f in os.listdir(MODELS) if f.endswith(".json")
+                   and modelfile.load(os.path.join(MODELS, f)).dimension == 2)
+
+
+def _sample_by_sample(model, a, b, nsub):
+    """`_segment_values` with the frame mapped at every sample: (values, mask, first
+    non-finite sample inside the box or None)."""
+    delta = b - a
+    fr = (np.arange(nsub) + 0.5) / nsub
+    pts = a[..., None, :] + fr[:, None] * delta[..., None, :]
+    w = model.frame_components(pts, np.broadcast_to(delta[..., None, :], pts.shape))
+    eta = model.frame_norm2(w)
+    vals = np.mean(model.weight(pts) * np.sqrt(np.clip(-eta, 0.0, None)), axis=-1)
+    norm2 = np.maximum(np.sum(delta * delta, axis=-1), 1e-300)
+    causal = np.all(eta <= geometry.CURVE_TOL * norm2[..., None], axis=-1)
+    future = np.all(w[..., 0] > 0, axis=-1) | (norm2 <= 1e-28)
+    bad = ~(np.isfinite(eta) & np.isfinite(model.weight(pts))) & model.in_domain(pts)
+    return vals, causal & future, pts[bad][0] if bad.any() else None
+
+
+@pytest.mark.parametrize("name", MODELS_2D)
+def test_segment_values_match_a_sample_by_sample_map(name):
+    m = modelfile.load(os.path.join(MODELS, name + ".json"))
+    rng = np.random.default_rng(11)
+    lo, span = m.domain_box[:, 0], m.domain_box[:, 1] - m.domain_box[:, 0]
+    a = lo + span * rng.uniform(0.1, 0.5, size=(24, 2))
+    d = np.empty((24, 2))
+    d[:, 0] = span[0] * rng.uniform(0.05, 0.4, 24)
+    d[:, 1] = d[:, 0] * rng.uniform(-0.9, 0.9, 24)  # timelike, future-directed
+    d[0:4, 1] = d[0:4, 0] * np.array([1.0, -1.0, 1.0, -1.0])  # null
+    d[4:8] *= -1.0  # past-directed
+    d[8:10] = 0.0  # zero length
+    d[11:14, 1] = 2.0 * d[11:14, 0]  # spacelike
+    a, d = np.round(a * 64) / 64, np.round(d * 64) / 64  # b - a is exactly d
+    d[10] = (1e-15, 0.0)  # norm2 <= 1e-28: counts as zero length
+    b = a + d
+    if m.mass_kind == "diagonal":
+        with pytest.raises(ValueError, match="diagonal"):
+            _segment_values(m, a, b)
+        return
+    expected = np.ones(24, dtype=bool)
+    expected[4:8] = expected[11:14] = False
+    for nsub in (1, 8, 256):
+        # plain, extra leading axes, and one start against many ends (cone chords)
+        for sa, sb in ((a, b), (a.reshape(4, 6, 2), b.reshape(4, 6, 2)), (a[:1], b)):
+            vals, ok = _segment_values(m, sa, sb, nsub=nsub, need_mask=True)
+            ref_vals, ref_ok, _ = _sample_by_sample(m, sa, sb, nsub)
+            assert vals.tobytes() == ref_vals.tobytes()
+            assert ok.tobytes() == ref_ok.tobytes()
+            assert _segment_values(m, sa, sb, nsub=nsub).tobytes() == ref_vals.tobytes()
+        ok = _segment_values(m, a, b, nsub=nsub, need_mask=True)[1]
+        assert ok.tolist() == expected.tolist()
+        assert np.all(_segment_values(m, a[:4], b[:4], nsub=nsub) == 0.0)  # null
+
+
+@pytest.mark.parametrize("model", [
+    SpacetimeModel(dimension=2, mass_kind="scalar", mass_field=parse_expression("sqrt(t)"),
+                   domain_box=[[-0.2, 1.0], [-1.0, 1.0]]),
+    SpacetimeModel.conformal("sqrt(t)", box=[[-0.2, 1.0], [-1.0, 1.0]]),
+], ids=["weight", "frame"])
+def test_segment_values_name_the_first_bad_sample_inside_the_box(model):
+    # sqrt(t) is NaN for t < 0: the second segment is NaN only outside the box, the
+    # third first outside it and then inside it, at t = -0.1875
+    a = np.array([[0.1, 0.0], [-0.5, 0.0], [-0.5, 0.3]])
+    b = np.array([[0.9, 0.2], [-0.3, 0.0], [0.5, 0.3]])
+    with np.errstate(all="ignore"):
+        vals, ok = _segment_values(model, a[:2], b[:2], nsub=8, need_mask=True)
+        ref_vals, ref_ok, ref_bad = _sample_by_sample(model, a[:2], b[:2], 8)
+        assert ref_bad is None and np.isfinite(vals[0]) and np.isnan(vals[1])
+        assert (vals.tobytes(), ok.tobytes()) == (ref_vals.tobytes(), ref_ok.tobytes())
+        assert _sample_by_sample(model, a, b, 8)[2].tolist() == [-0.1875, 0.3]
+        with pytest.raises(ValueError) as err:
+            _segment_values(model, a, b, nsub=8)
+    assert str(err.value) == ("the frame or the weight is not finite at [-0.1875, 0.3] "
+                              "inside the domain box")
 
 
 # ---------------------------------------------------------------------------

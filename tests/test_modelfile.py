@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from twosheet.causality import fluctuate
+from twosheet.cli import main
 from twosheet.modelfile import ModelFileError, dump, dumps, load, loads
 
 FLAT = """{
@@ -226,3 +227,27 @@ def test_nonfinite_weight_field_names_its_key():
     assert err.value.key == "mass.phi"
     assert err.value.line == 4
     assert "weight field is not finite" in str(err.value)
+
+
+@pytest.mark.parametrize("old,new,key,line", [
+    ('"space_steps": 201}', '"space_steps": 201, "quadrature": true}',
+     "resolutions.quadrature", 6),
+    ('"decision_band": 0.002', '"decision_band": true', "tolerances.decision_band", 7),
+    ('"re": 0.8', '"re": true', "mass.re", 4),
+    ('"im": 0.6', '"im": false', "mass.im", 4),
+    ("[[-3.0, 3.0], [-3.0, 3.0]]", "[[-3.0, 3.0], [false, 3.0]]", "domain.box", 5),
+], ids=["resolutions", "tolerances", "mass-re", "mass-im", "domain-box"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, old, new, key, line):
+    # bool is an int subclass in Python: true must not load as 1 nor false as 0
+    text = CONFORMAL.replace(old, new)
+    assert text != CONFORMAL
+    with pytest.raises(ModelFileError) as err:
+        loads(text)
+    assert (err.value.key, err.value.line) == (key, line)
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code = main(["decide", "--model", str(path), "--p=0,0", "--xi", "0", "--q=1,0",
+                 "--phi", "0"])
+    err_text = capsys.readouterr().err
+    assert code == 1
+    assert f'model file error at line {line}, key "{key}"' in err_text

@@ -8,9 +8,14 @@ Grammar (recursive descent):
     atom   := NUMBER | VARIABLE | FUNC '(' expr ')' | '(' expr ')'
 
 Functions: sin, cos, exp, sqrt, abs.  Variables: t, x, y, z, standing for the
-coordinates x^0..x^3.  Evaluation is vectorized over numpy arrays, and every node
-knows its analytic derivative (abs differentiates to sign, which is what the
-weight fields |Phi| need away from zeros).
+coordinates x^0..x^3.  Every node knows its analytic derivative (abs
+differentiates to sign, which is what the weight fields |Phi| need away from
+zeros).
+
+An Expression parses and simplifies its tree once, then compiles it into one
+closure of nested numpy operations; calls and constant folding both run that
+closure, so there is a single evaluator.  Evaluation is vectorized over numpy
+arrays, and division by zero gives inf or nan without a warning.
 """
 
 from __future__ import annotations
@@ -168,26 +173,46 @@ class _Parser:
         raise ExpressionError(f"unexpected token {tok[1]!r} at position {tok[2]} in {self.src!r}")
 
 
-def _evaluate(node, env: Dict[str, ArrayLike]) -> ArrayLike:
+def _divide(left, right):
+    # scoped: x/0 is inf or nan by design, and pytest makes a RuntimeWarning an error;
+    # np.true_divide is `/` on arrays, and on two floats it gives inf/nan, not
+    # ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.true_divide(left, right)
+
+
+def _compile(node):
+    """One closure env -> value for the tree, env indexed like VARIABLES.
+
+    Each node becomes one nested function that runs its node's operation on its
+    children's results, in the order a recursive tree walk would, so values are
+    bit-identical to walking the tree."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        value = node[1]
+        return lambda env: value
     if kind == "var":
-        return env[node[1]]
+        index = VARIABLES.index(node[1])
+        return lambda env: env[index]
     if kind == "neg":
-        return -_evaluate(node[1], env)
+        inner = _compile(node[1])
+        return lambda env: -inner(env)
     if kind == "call":
-        return _FUNCS[node[1]](_evaluate(node[2], env))
-    left = _evaluate(node[1], env)
-    right = _evaluate(node[2], env)
+        func, inner = _FUNCS[node[1]], _compile(node[2])
+        return lambda env: func(inner(env))
+    left, right = _compile(node[1]), _compile(node[2])
     if kind == "+":
-        return left + right
+        return lambda env: left(env) + right(env)
     if kind == "-":
-        return left - right
+        return lambda env: left(env) - right(env)
     if kind == "*":
-        return left * right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return left / right
+        return lambda env: left(env) * right(env)
+    return lambda env: _divide(left(env), right(env))
+
+
+def _fold(node):
+    """The constant node as one number, evaluated by its own closure."""
+    return ("num", float(_compile(node)(())))
 
 
 def _simplify(node):
@@ -196,18 +221,14 @@ def _simplify(node):
     if kind in ("num", "var"):
         return node
     if kind == "neg":
-        inner = _simplify(node[1])
-        if inner[0] == "num":
-            return ("num", -inner[1])
-        return ("neg", inner)
+        node = ("neg", _simplify(node[1]))
+        return _fold(node) if node[1][0] == "num" else node
     if kind == "call":
-        inner = _simplify(node[2])
-        if inner[0] == "num":
-            return ("num", float(_FUNCS[node[1]](inner[1])))
-        return ("call", node[1], inner)
+        node = ("call", node[1], _simplify(node[2]))
+        return _fold(node) if node[2][0] == "num" else node
     left, right = _simplify(node[1]), _simplify(node[2])
     if left[0] == "num" and right[0] == "num":
-        return ("num", float(_evaluate((kind, left, right), {})))
+        return _fold((kind, left, right))
     if kind == "+":
         if left == ("num", 0.0):
             return right
@@ -283,7 +304,8 @@ def _render(node) -> str:
 
 def _walk(fn, *args):
     """fn(*args) for a recursive tree walker (parser, simplifier, derivative,
-    renderer, evaluator): a tree too deep for the stack is bad input."""
+    renderer, compiler) or a compiled closure: a tree too deep for the stack is bad
+    input."""
     try:
         return fn(*args)
     except RecursionError:
@@ -299,19 +321,24 @@ class Expression:
     def __init__(self, source: str, _node=None):
         self.source = source
         self._node = _walk(lambda: _simplify(_Parser(source).parse() if _node is None else _node))
+        self._run = _walk(_compile, self._node)
         self._derivs: Dict[str, "Expression"] = {}
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (..., n) with n the space-time dimension."""
+        """Evaluate at points of shape (..., n) with n the space-time dimension.
+
+        The result is a fresh array: one the closure has just made is returned as is,
+        and a scalar, or a view of points (the expression `t`), is copied out."""
         points = np.asarray(points, dtype=float)
-        env = {name: points[..., i] if i < points.shape[-1] else 0.0
-               for i, name in enumerate(VARIABLES)}
-        out = _walk(_evaluate, self._node, env)
+        env = tuple(points[..., i] if i < points.shape[-1] else 0.0
+                    for i in range(len(VARIABLES)))
+        out = _walk(self._run, env)
+        if isinstance(out, np.ndarray) and out.base is None:
+            return out
         return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1]).copy()
 
     def evaluate(self, **coords: ArrayLike) -> ArrayLike:
-        env = {name: coords.get(name, 0.0) for name in VARIABLES}
-        return _walk(_evaluate, self._node, env)
+        return _walk(self._run, tuple(coords.get(name, 0.0) for name in VARIABLES))
 
     def derivative(self, var: str) -> "Expression":
         if var not in VARIABLES:

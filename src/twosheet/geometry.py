@@ -104,7 +104,10 @@ class SpacetimeModel:
 
     Frames come in two families.  The isotropic frame e_a^mu = Omega delta_a^mu
     covers conformal2d (Omega the conformal factor) and minkowski (Omega = 1);
-    vielbein4d reads the user's 4x4 table e[a][mu].
+    vielbein4d reads the user's 4x4 table e[a][mu].  Construction splits that table
+    once into a constant 4x4 array and the entries that vary, so `frame_matrices`
+    and `time_frame` evaluate only the varying expressions per point (2 of the 16
+    in models/vielbein4d.json, none of its time column).
 
     The diagonal kind means the internal operator has no off-diagonal part, so no
     inter-sheet weight exists; decision logic special-cases it and the weighted
@@ -159,6 +162,17 @@ class SpacetimeModel:
             merged["certification"] = 101 if self.dimension == 2 else 17
         object.__setattr__(self, "domain_box", box)
         object.__setattr__(self, "resolutions", MappingProxyType(merged))
+        if self.metric_kind == "vielbein4d":
+            # the frame table, split once: constant entries in a read-only 4x4 array
+            # (0 where an entry varies), and the (a, mu, expression) entries that vary;
+            # not a field, so equality, dataclasses.replace and the model file see
+            # only the expressions
+            table = np.array([[e.constant_value() if e.is_constant() else 0.0 for e in row]
+                              for row in self.vielbein])
+            table.flags.writeable = False
+            varying = tuple((a, mu, e) for a, row in enumerate(self.vielbein)
+                            for mu, e in enumerate(row) if not e.is_constant())
+            object.__setattr__(self, "_frame_table", (table, varying))
 
     # -- constructors -------------------------------------------------------
 
@@ -236,8 +250,12 @@ class SpacetimeModel:
         """Vielbein tables E[..., a, mu] with v^mu = sum_a w^a E[a, mu]."""
         pts = np.asarray(points, dtype=float)
         if self.metric_kind == "vielbein4d":
-            rows = [[self.vielbein[a][mu](pts) for mu in range(4)] for a in range(4)]
-            return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+            table, varying = self._frame_table
+            E = np.empty(pts.shape[:-1] + (4, 4))
+            E[...] = table
+            for a, mu, e in varying:
+                E[..., a, mu] = e(pts)
+            return E
         return np.eye(self.dimension) * self.omega(pts)[..., None, None]
 
     def frame_components(self, points, velocities) -> np.ndarray:
@@ -267,10 +285,16 @@ class SpacetimeModel:
 
     def time_frame(self, points) -> np.ndarray:
         """Flat-frame derivative f_a = e_a^0 of the time function T(x) = x^0: the
-        frame's time column, evaluating only its expressions on a vielbein model."""
+        frame's time column, evaluating only its varying entries on a vielbein model."""
         pts = np.asarray(points, dtype=float)
         if self.metric_kind == "vielbein4d":
-            return np.stack([row[0](pts) for row in self.vielbein], axis=-1)
+            table, varying = self._frame_table
+            f = np.empty(pts.shape[:-1] + (4,))
+            f[...] = table[:, 0]
+            for a, mu, e in varying:
+                if mu == 0:
+                    f[..., a] = e(pts)
+            return f
         e0 = np.zeros(pts.shape)
         e0[..., 0] = 1.0
         return self.to_frame(pts, e0)

@@ -60,9 +60,21 @@ def _line_of(text: str, *names: str) -> int:
     return 1
 
 
-def _is_number(value) -> bool:
-    """A JSON number; true and false are Python ints, but not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value, key: str, line: int) -> float:
+    """A numeric leaf as a finite float, else a ModelFileError naming key and line.
+
+    true and false are Python ints, but not numbers here; json reads NaN, Infinity
+    and 1e999 as non-finite floats; and float() of a long integer literal overflows.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ModelFileError("must be a number", key, line)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = np.inf
+    if not np.isfinite(number):
+        raise ModelFileError("must be a finite number", key, line)
+    return number
 
 
 def _expr(source, text: str, key: str):
@@ -132,11 +144,9 @@ def loads(text: str) -> SpacetimeModel:
     qkind = mass["kind"]
     mass_value = 0j
     if qkind == "constant":
-        for part in ("re", "im"):
-            if not _is_number(mass.get(part, 0.0)):
-                raise ModelFileError("must be a number", f"mass.{part}",
-                                     _line_of(text, part, "mass"))
-        mass_value = complex(float(mass.get("re", 0.0)), float(mass.get("im", 0.0)))
+        mass_value = complex(*(_number(mass.get(part, 0.0), f"mass.{part}",
+                                       _line_of(text, part, "mass"))
+                               for part in ("re", "im")))
     elif qkind == "scalar":
         if "phi" not in mass:
             raise ModelFileError("scalar mass needs a phi expression", "mass.phi",
@@ -169,15 +179,14 @@ def loads(text: str) -> SpacetimeModel:
             raise ModelFileError('expected {"box": [[lo, hi], ...]}', "domain",
                                  _line_of(text, "domain"))
         rows = dom["box"]
+        line = _line_of(text, "box", "domain")
         if (not isinstance(rows, list) or len(rows) != dim
-                or any(not isinstance(r, list) or len(r) != 2 or not all(map(_is_number, r))
-                       for r in rows)):
+                or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
             raise ModelFileError(f"box must be {dim} [lo, hi] rows of numbers", "domain.box",
-                                 _line_of(text, "box", "domain"))
-        box = np.asarray(rows, dtype=float)
+                                 line)
+        box = np.array([[_number(v, "domain.box", line) for v in r] for r in rows])
         if np.any(box[:, 0] >= box[:, 1]):
-            raise ModelFileError("box rows need lo < hi", "domain.box",
-                                 _line_of(text, "box", "domain"))
+            raise ModelFileError("box rows need lo < hi", "domain.box", line)
 
     resolutions: Dict[str, Optional[int]] = {}
     if "resolutions" in raw:
@@ -192,6 +201,7 @@ def loads(text: str) -> SpacetimeModel:
                                      f"resolutions.{k}", _line_of(text, k))
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ModelFileError("must be an integer", f"resolutions.{k}", _line_of(text, k))
+            _number(v, f"resolutions.{k}", _line_of(text, k))
             floor = 17 if k in _GRID_KEYS else 1
             if v < floor:
                 raise ModelFileError(f"must be >= {floor}", f"resolutions.{k}", _line_of(text, k))
@@ -206,10 +216,10 @@ def loads(text: str) -> SpacetimeModel:
             if k != "decision_band":
                 raise ModelFileError("unknown tolerance (expected decision_band)",
                                      f"tolerances.{k}", _line_of(text, k))
-            if not _is_number(v) or not 0 < v < np.inf:
+            band = _number(v, f"tolerances.{k}", _line_of(text, k))
+            if not band > 0:
                 raise ModelFileError("must be a positive number", f"tolerances.{k}",
                                      _line_of(text, k))
-            band = float(v)
 
     try:
         model = SpacetimeModel(dimension=dim, metric_kind=mkind,

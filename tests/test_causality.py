@@ -15,6 +15,7 @@ from twosheet.causality import (
     required_proper_time,
 )
 from twosheet.cli import main
+from twosheet.expressions import Expression
 from twosheet.geometry import DomainError, MixedState, SpacetimeModel
 from twosheet.modelfile import load
 
@@ -379,3 +380,41 @@ def test_nan_frame_outside_the_box_is_ignored():
     m = _sqrt_frame("sqrt(x + 1.05)")
     d = decide(((0, -0.9, 0, 0), 0.1), ((0.8, -0.9, 0, 0), 0.3), m)
     assert d.base_related and d.related
+
+
+# ---------------------------------------------------------------------------
+# constant frames: flat space-time in frame coordinates
+
+
+@pytest.mark.parametrize("frame", [
+    [["1", "0", "0", "0"], ["0", "1.5", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    [["1", "0.4", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+], ids=["stretch", "tilt"])
+def test_constant_frame_matches_the_flat_closed_form(frame, monkeypatch):
+    # with v = E^T w, a constant frame is Minkowski space in w = E^-T x, so dp decide
+    # must agree with the closed form there (light speed 1.5 along x on the stretch,
+    # a cone tilted along t on the tilt).  A regression guard for the 4D base
+    # relation: today's in-plane diamond gets these right
+    model = SpacetimeModel.with_vielbein(frame, mass=1.0, box=[[-2, 2]] * 4,
+                                         resolutions={"time_steps": 61})
+    flat = SpacetimeModel.minkowski(4, mass=1.0, box=[[-10, 10]] * 4)
+    E = np.array(frame, dtype=float)
+    to_flat = np.linalg.inv(E).T
+    monkeypatch.setattr(Expression, "__call__", None)  # the frame table alone serves
+    rng = np.random.default_rng(7)
+    verdicts = []
+    while len(verdicts) < 24:
+        p = np.concatenate([[rng.uniform(-1.9, -0.2)], rng.uniform(-1.0, 1.0, 3)])
+        u = rng.normal(size=3)
+        dt = rng.uniform(0.3, 1.8)
+        w = np.concatenate([[dt], rng.uniform(0.0, 1.3) * dt * u / np.linalg.norm(u)])
+        q = p + E.T @ w
+        if np.any(np.abs(q) > 2.0):
+            continue
+        xi, phi = rng.uniform(0.0, 1.0, 2)
+        dp = decide((p, xi), (q, phi), model, method="dp")
+        closed = decide((to_flat @ p, xi), (to_flat @ q, phi), flat, method="closed")
+        assert (dp.base_related, dp.related) == (closed.base_related, closed.related)
+        assert abs(dp.achieved - closed.achieved) <= 1e-12
+        verdicts.append(closed.related)
+    assert 8 <= sum(verdicts) <= 20  # both verdicts are exercised

@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -130,5 +131,106 @@ def test_deep_tree_fails_evaluation_and_derivative_cleanly():
             e.derivative("t")
         with pytest.raises(ExpressionError, match="nested too deeply"):
             e(np.zeros((1, 2)))
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            e.evaluate(t=0.5)
     finally:
         sys.setrecursionlimit(limit)
+
+
+# ---------------------------------------------------------------------------
+# the compiled closure against a plain tree walk
+
+
+def _walk_tree(node, env):
+    """Reference evaluator: a recursive walk of the simplified tree, env indexed t..z."""
+    kind = node[0]
+    if kind == "num":
+        return node[1]
+    if kind == "var":
+        return env["txyz".index(node[1])]
+    if kind == "neg":
+        return -_walk_tree(node[1], env)
+    if kind == "call":
+        return getattr(np, node[1])(_walk_tree(node[2], env))
+    left, right = _walk_tree(node[1], env), _walk_tree(node[2], env)
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return left * right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.true_divide(left, right)
+
+
+_LEAVES = st.one_of(st.sampled_from(["t", "x", "y", "z", "0", "1"]),
+                    st.floats(min_value=0.0, max_value=4.0).map(repr))
+_SOURCES = st.recursive(_LEAVES, lambda sub: st.one_of(
+    st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+    st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]), sub).map(
+        lambda p: f"{p[0]}({p[1]})"),
+    sub.map(lambda a: f"(-{a})"),
+    sub.map(lambda a: f"({a} / 0)"),
+), max_leaves=12)
+_POINTS = {n: np.random.default_rng(n).uniform(-3.0, 3.0, size=(16, n)) for n in (2, 4)}
+
+
+def _recorded(fn):
+    """fn() with every warning recorded: the value and the warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    return value, [str(w.message) for w in caught]
+
+
+def _same_bits(a, b, shape):
+    return (np.broadcast_to(np.asarray(a, dtype=float), shape).tobytes()
+            == np.broadcast_to(np.asarray(b, dtype=float), shape).tobytes())
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(src=_SOURCES)
+def test_compiled_closure_equals_a_tree_walk(src):
+    # same operations in the same order: same bits, NaN payloads included, and the
+    # same floating-point warnings (a function or an inf - inf may warn; x/0 may not)
+    e, _ = _recorded(lambda: parse_expression(src))
+    for n, pts in _POINTS.items():
+        env = tuple(pts[:, i] if i < n else 0.0 for i in range(4))
+        got, got_warn = _recorded(lambda: e(pts))
+        want, want_warn = _recorded(lambda: _walk_tree(e._node, env))
+        assert got.shape == pts.shape[:-1] and not np.shares_memory(got, pts)
+        assert _same_bits(got, want, got.shape) and got_warn == want_warn, src
+        got, got_warn = _recorded(lambda: e.evaluate(**dict(zip("txyz", env))))
+        assert _same_bits(got, want, pts.shape[:-1]) and got_warn == want_warn, src
+    scalars = tuple(float(v) for v in _POINTS[4][0])
+    got, got_warn = _recorded(lambda: e.evaluate(**dict(zip("txyz", scalars))))
+    want, want_warn = _recorded(lambda: _walk_tree(e._node, scalars))
+    assert _same_bits(got, want, ()) and got_warn == want_warn, src
+
+
+@pytest.mark.parametrize("src,want", [
+    ("t/0", [np.inf, -np.inf, np.nan]), ("(t - t)/0", [np.nan] * 3),
+    ("x/(t - t)", [np.inf, -np.inf, np.nan]), ("1/0", [np.inf] * 3),
+    ("-1/0", [-np.inf] * 3), ("0*t/0", [np.nan] * 3),
+])
+def test_division_by_zero_is_inf_or_nan_without_a_warning(src, want):
+    # constant folds at parse time run through the same division as point values
+    pts = np.array([[1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = parse_expression(src)
+        np.testing.assert_array_equal(e(pts), want)
+        np.testing.assert_array_equal(e.evaluate(t=pts[:, 0], x=pts[:, 1]), want)
+        np.testing.assert_array_equal(e.evaluate(t=1.0, x=1.0), want[0])
+
+
+@pytest.mark.parametrize("src", ["t", "x", "y", "2", "t + 1", "sin(x)"])
+def test_call_returns_an_array_it_owns(src):
+    # a bare variable evaluates to a view of the points, and a constant to a scalar:
+    # both are copied out, so mutating the result leaves the points alone
+    pts = np.array([[0.5, 1.5], [2.5, 3.5]])
+    before = pts.copy()
+    out = parse_expression(src)(pts)
+    out += 100.0
+    np.testing.assert_array_equal(pts, before)
+    assert out.flags.writeable and out.shape == (2,)

@@ -12,7 +12,7 @@ import pytest
 from twosheet import geometry, modelfile
 from twosheet.causality import decide
 from twosheet.cone import witness_element
-from twosheet.expressions import parse_expression
+from twosheet.expressions import Expression, parse_expression
 from twosheet.geometry import (
     CausalCurve,
     DomainError,
@@ -30,6 +30,7 @@ from twosheet.geometry import (
     _diamond_path,
     _segment_values,
 )
+from twosheet.oracle import sample_causal_elements
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -132,7 +133,7 @@ def test_diagonal_weight_rejected_but_mass_vanishes():
         m.weight(pts)
 
 
-FRAME_MODELS = pytest.mark.parametrize("model", [
+FRAME_MODEL_LIST = [
     SpacetimeModel.minkowski(2, mass=1.0),
     SpacetimeModel.minkowski(4, mass=1.0),
     modelfile.load(os.path.join(MODELS, "conformal2d.json")),
@@ -142,7 +143,9 @@ FRAME_MODELS = pytest.mark.parametrize("model", [
                                   ["0", "0.05*y", "1", "0.1*y"],
                                   ["0", "0", "0", "1 + 0.05*x"]],
                                  mass=1.0, box=[[-2, 2]] * 4),
-], ids=["minkowski2d", "minkowski4d", "conformal2d", "vielbein4d", "vielbein4d-mixed"])
+]
+FRAME_MODEL_IDS = ["minkowski2d", "minkowski4d", "conformal2d", "vielbein4d", "vielbein4d-mixed"]
+FRAME_MODELS = pytest.mark.parametrize("model", FRAME_MODEL_LIST, ids=FRAME_MODEL_IDS)
 
 
 @FRAME_MODELS
@@ -186,6 +189,74 @@ def test_minkowski_is_the_unit_isotropic_frame():
     assert flat4.frame_components(pts4, v4).tobytes() == v4.tobytes()
     assert flat4.to_frame(pts4, g4).tobytes() == g4.tobytes()
     assert flat4.from_frame(pts4, g4).tobytes() == g4.tobytes()
+
+
+def _stacked_frame(model, pts):
+    """Reference frame table: every entry evaluated per point, then stacked."""
+    if model.metric_kind != "vielbein4d":
+        return np.eye(model.dimension) * model.omega(pts)[..., None, None]
+    rows = [[model.vielbein[a][mu](pts) for mu in range(4)] for a in range(4)]
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+# the oracle tests' tilted frame: its time column mixes constant and varying entries
+TILTED = SpacetimeModel.with_vielbein(
+    [["1", "0.1*x", "0", "0"], ["0.5", "1 + 0.1*t", "0", "0"], ["0", "0", "1", "0"],
+     ["0.2*t", "0", "0.1*y", "1 + 0.05*x"]], mass=0.8 + 0.6j, box=[[-2, 2]] * 4)
+CONSTANT_FRAME = SpacetimeModel.with_vielbein(
+    [["1", "0.4", "0", "0"], ["0", "1.5", "0", "0"], ["0", "0", "1", "0"],
+     ["0", "0", "0", "2 - 1"]], mass=1.0, box=[[-2, 2]] * 4)
+
+
+@pytest.mark.parametrize("model", FRAME_MODEL_LIST + [TILTED, CONSTANT_FRAME],
+                         ids=FRAME_MODEL_IDS + ["tilted", "constant"])
+def test_frame_table_matches_the_stacked_entries(model):
+    rng = np.random.default_rng(9)
+    for pts in (rng.uniform(-1.5, 1.5, size=(3, 40, model.dimension)),
+                rng.uniform(-1.5, 1.5, size=model.dimension)):
+        want = _stacked_frame(model, pts)
+        got = model.frame_matrices(pts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert model.time_frame(pts).tobytes() == want[..., 0].tobytes()
+
+
+def test_frame_table_evaluates_only_the_varying_entries(monkeypatch):
+    model = modelfile.load(os.path.join(MODELS, "vielbein4d.json"))
+    calls = []
+    call = Expression.__call__
+    monkeypatch.setattr(Expression, "__call__",
+                        lambda self, points: calls.append(self.source) or call(self, points))
+    pts = np.random.default_rng(10).uniform(-1.5, 1.5, size=(50, 4))
+    model.frame_matrices(pts)
+    assert sorted(calls) == ["1 + 0.05*x", "1 + 0.1*t"]
+    calls.clear()
+    model.time_frame(pts)  # the time column is all constant
+    assert calls == []
+    CONSTANT_FRAME.frame_matrices(pts)
+    CONSTANT_FRAME.time_frame(pts)
+    assert calls == []
+    # the split is not a field: replace rebuilds it from the expressions
+    assert "_frame_table" not in [f.name for f in dataclasses.fields(model)]
+    assert dataclasses.replace(model, mass=2.0).frame_matrices(pts).tobytes() == \
+        model.frame_matrices(pts).tobytes()
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_frame_nan_between_grid_points(column):
+    # 1 + sqrt((x - 1/8)^2 - 1e-4) is NaN only for |x - 1/8| < 0.01: between the nine
+    # validate samples per axis, but on the 17-point certification grid (x = 1/8)
+    frame = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+             ["0", "0", "0", "1"]]
+    frame[column][column] = "1 + sqrt((x - 0.125)*(x - 0.125) - 0.0001)"
+    m = SpacetimeModel.with_vielbein(frame, mass=1.0, box=[[-1, 1]] * 4)
+    assert m.validate()["signature_ok"] == 1.0
+    with np.errstate(invalid="ignore"):
+        E = m.frame_matrices(np.array([[0.0, 0.125, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]))
+    assert np.isnan(E[0, column, column]) and np.isfinite(E[1]).all()
+    assert np.isfinite(np.delete(E[0].ravel(), 5 * column)).all()  # the other entries
+    message = "causal time slicing" if column == 0 else "frame is not finite"
+    with pytest.raises(ValueError, match=message):
+        sample_causal_elements(m, 1, 1)
 
 
 # ---------------------------------------------------------------------------

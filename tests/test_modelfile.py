@@ -251,3 +251,36 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, old, new, key, line):
     err_text = capsys.readouterr().err
     assert code == 1
     assert f'model file error at line {line}, key "{key}"' in err_text
+
+
+_HUGE = "1" + "0" * 400  # an exact JSON integer that float() cannot hold
+
+
+@pytest.mark.parametrize("old,new,key,line", [
+    ('"re": 0.8', '"re": 1e999', "mass.re", 4),
+    ('"re": 0.8', '"re": NaN', "mass.re", 4),
+    ('"re": 0.8', f'"re": {_HUGE}', "mass.re", 4),
+    ('"im": 0.6', '"im": -Infinity', "mass.im", 4),
+    ("[[-3.0, 3.0], [-3.0, 3.0]]", "[[-3.0, NaN], [-3.0, 3.0]]", "domain.box", 5),
+    ("[[-3.0, 3.0], [-3.0, 3.0]]", f"[[-3.0, 3.0], [-{_HUGE}, 3.0]]", "domain.box", 5),
+    ('"space_steps": 201}', f'"space_steps": {_HUGE}}}', "resolutions.space_steps", 6),
+    ('"decision_band": 0.002', f'"decision_band": {_HUGE}', "tolerances.decision_band", 7),
+], ids=["mass-re-1e999", "mass-re-nan", "mass-re-huge", "mass-im-inf", "box-nan",
+        "box-huge", "resolutions-huge", "tolerances-huge"])
+def test_nonfinite_numbers_exit_1_naming_key_and_line(tmp_path, capsys, old, new, key, line):
+    # json reads NaN, Infinity and 1e999 as floats, and float() of a 401-digit
+    # integer overflows: each is one error line, never "nan" output or a traceback
+    text = CONFORMAL.replace(old, new)
+    assert text != CONFORMAL
+    with pytest.raises(ModelFileError) as err:
+        loads(text)
+    assert (err.value.key, err.value.line) == (key, line)
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code = main(["decide", "--model", str(path), "--p=0,0", "--xi", "0", "--q=1,0",
+                 "--phi", "0.5"])
+    out, err_text = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err_text.splitlines() == [
+        f'twosheet: error: model file error at line {line}, key "{key}": '
+        "must be a finite number"]

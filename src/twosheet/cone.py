@@ -62,9 +62,10 @@ HERMITIAN_TOL = 1e-12
 # index sets of the two invariant 4x4 blocks of the 4D (8x8) obstruction matrix
 OBSTRUCTION_BLOCKS_4D = ((0, 1, 6, 7), (2, 3, 4, 5))
 # relative slack of the 4D eigenvalue bracket in `_grid_min`: far above the rounding
-# of the closed-form 2x2 bounds and of `eigvalsh` (a few ulps of max|M|), far below
-# the gaps that let it prune
+# of the closed-form bounds and of `eigvalsh` (a few ulps of max|M|), far below the
+# gaps that let it prune
 BRACKET_MARGIN = 1e-10
+CERTIFY_BLOCK_POINTS = 8192  # 4D points per `_grid_min` eigensolve batch; bounds its memory
 
 
 # ---------------------------------------------------------------------------
@@ -199,40 +200,47 @@ def _min_eigenvalues(fa: np.ndarray, fb: np.ndarray, z: np.ndarray,
     return np.linalg.eigvalsh(_assemble(generators, fa, fb, z))[..., 0].min(axis=-1)
 
 
+def _bracket_4d(fa: np.ndarray, fb: np.ndarray, z: np.ndarray):
+    """Closed-form (lb, ub, scale) per point of (N, 4) frame gradients, with
+    lb <= lambda_min(M) <= ub for both 4x4 obstruction blocks M and scale >= max|M|.
+
+    Each block is M = [[A, -+z I], [-+conj(z) I, C]] with A = fa_0 I + sum_j +-fa_j
+    sigma_j (Pauli matrices) and C the same in fb, so lambda_min(A) = a = fa_0 -
+    |fa_vec| and lambda_min(C) = c = fb_0 - |fb_vec|.  Cauchy interlacing gives
+    ub = min(a, c), and x^H M x >= a|u|^2 + c|v|^2 - 2|z||u||v| gives lb, the
+    smaller eigenvalue of [[a, |z|], [|z|, c]].
+    """
+    ra, rb = (np.sqrt(np.einsum("ij,ij->i", f[:, 1:], f[:, 1:])) for f in (fa, fb))
+    rz = np.abs(z)
+    a, c = fa[:, 0] - ra, fb[:, 0] - rb
+    scale = np.maximum(np.maximum(np.abs(fa[:, 0]) + ra, np.abs(fb[:, 0]) + rb), rz)
+    return _min_eig_2x2(a, c, rz ** 2), np.minimum(a, c), scale
+
+
 def _grid_min(fa: np.ndarray, fb: np.ndarray, z: np.ndarray,
               generators: Optional[np.ndarray] = None) -> Tuple[float, int]:
-    """Smallest obstruction eigenvalue over a batch of points (N, n), and the first
-    point holding it: the minimum and argmin of `_min_eigenvalues`, bit for bit.
+    """Smallest obstruction eigenvalue over points (N, n), and the first point
+    holding it: the minimum and argmin of `_min_eigenvalues`, bit for bit.
 
-    2D reads the closed form at every point.  4D brackets each 4x4 block
-    M = [[A, B], [B^H, C]] (2x2 blocks, closed-form eigenvalues) before solving it:
-    Cauchy interlacing gives lambda_min(M) <= ub = min(lambda_min(A), lambda_min(C)),
-    and Weyl's inequality lambda_min(M) >= lb = ub - ||B||_F.  A block whose lb
-    exceeds the batch's smallest ub by more than the rounding margin
-    BRACKET_MARGIN * (1 + max|M|) cannot hold the minimum, so `eigvalsh` runs only
-    on the others (a few percent of a sampled element's grid).  A NaN bound
-    compares false, so its block stays a candidate, and a block with a non-finite
-    entry reads NaN: the minimum fails closed instead of raising.
+    2D reads the closed form at every point.  4D brackets every point with
+    `_bracket_4d`, which needs no matrix.  A point whose lb exceeds the grid's
+    smallest ub by more than the rounding margin BRACKET_MARGIN * (1 + max scale)
+    cannot hold the minimum, so `_assemble` and `eigvalsh` run only on the others
+    (well under 1% of a sampled element's grid), CERTIFY_BLOCK_POINTS at a time.  A
+    NaN bound compares false, so its point stays a candidate, and a point with a
+    non-finite entry reads NaN: the minimum fails closed instead of raising.
     """
     if fa.shape[-1] == 2:
         vals = _min_eigenvalues(fa, fb, z)
     else:
-        M = _assemble(generators, fa, fb, z)
-
-        def lam(S):
-            return _min_eig_2x2(S[..., 0, 0].real, S[..., 1, 1].real, np.abs(S[..., 0, 1]) ** 2)
-
-        ub = np.minimum(lam(M[..., :2, :2]), lam(M[..., 2:, 2:]))
-        B = M[..., :2, 2:]
-        lb = ub - np.sqrt(np.sum(B.real ** 2 + B.imag ** 2, axis=(-2, -1)))
-        cand = ~(lb > np.min(ub) + BRACKET_MARGIN * (1.0 + np.max(np.abs(M))))
-        sub = M[cand]
-        finite = np.isfinite(sub).all(axis=(-2, -1))
-        lam_c = np.full(len(sub), np.nan)
-        lam_c[finite] = np.linalg.eigvalsh(sub[finite])[:, 0]
-        blocks = np.full(ub.shape, np.inf)
-        blocks[cand] = lam_c
-        vals = blocks.min(axis=-1)
+        lb, ub, scale = _bracket_4d(fa, fb, z)
+        cand = np.flatnonzero(~(lb > np.min(ub) + BRACKET_MARGIN * (1.0 + np.max(scale))))
+        vals = np.full(len(fa), np.inf)
+        for sub in np.split(cand, range(CERTIFY_BLOCK_POINTS, len(cand), CERTIFY_BLOCK_POINTS)):
+            M = _assemble(generators, fa[sub], fb[sub], z[sub])
+            finite = np.isfinite(M).all(axis=(-3, -2, -1))
+            vals[sub] = np.nan
+            vals[sub[finite]] = np.linalg.eigvalsh(M[finite])[..., 0].min(axis=-1)
     i = int(np.argmin(vals))
     return float(vals[i]), i
 
@@ -444,7 +452,7 @@ def is_causal_element(pair: CausalElementPair, model: SpacetimeModel,
                       rep: SpinRepresentation, grid=None, tol: float = PSD_TOL) -> ConeMembership:
     """PSD sweep over a grid; reports the point with the most negative eigenvalue.
 
-    The sweep is `_grid_min`: in 4D only blocks whose closed-form eigenvalue bracket
+    The sweep is `_grid_min`: in 4D only points whose closed-form eigenvalue bracket
     reaches the grid minimum are eigensolved, with the dense sweep's minimum and
     first worst point.  A non-finite matrix entry reads NaN and fails the test.
     """

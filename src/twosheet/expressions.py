@@ -20,6 +20,7 @@ arrays, and division by zero gives inf or nan without a warning.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
@@ -215,8 +216,26 @@ def _fold(node):
     return ("num", float(_compile(node)(())))
 
 
+_ZERO = ("num", 0.0)
+
+
+def _finite_where_coordinates_are(node) -> bool:
+    """True for finite numbers and variables joined by +, - and * alone: such a
+    factor u can never turn 0 * u into nan."""
+    kind = node[0]
+    if kind == "num":
+        return math.isfinite(node[1])
+    if kind == "var":
+        return True
+    if kind == "neg":
+        return _finite_where_coordinates_are(node[1])
+    return kind in ("+", "-", "*") and all(map(_finite_where_coordinates_are, node[1:]))
+
+
 def _simplify(node):
-    """Fold constants and drop additive/multiplicative identities (keeps gradients tidy)."""
+    """Fold constants and drop additive/multiplicative identities (keeps gradients
+    tidy).  0 * u folds to 0 only where u cannot be nan or infinite, and 0 / u
+    never does, so a simplified field is nan wherever its written form is."""
     kind = node[0]
     if kind in ("num", "var"):
         return node
@@ -230,38 +249,41 @@ def _simplify(node):
     if left[0] == "num" and right[0] == "num":
         return _fold((kind, left, right))
     if kind == "+":
-        if left == ("num", 0.0):
+        if left == _ZERO:
             return right
-        if right == ("num", 0.0):
+        if right == _ZERO:
             return left
     elif kind == "-":
-        if right == ("num", 0.0):
+        if right == _ZERO:
             return left
     elif kind == "*":
-        if left == ("num", 0.0) or right == ("num", 0.0):
-            return ("num", 0.0)
+        if ((left == _ZERO and _finite_where_coordinates_are(right))
+                or (right == _ZERO and _finite_where_coordinates_are(left))):
+            return _ZERO
         if left == ("num", 1.0):
             return right
         if right == ("num", 1.0):
             return left
     elif kind == "/":
-        if left == ("num", 0.0):
-            return ("num", 0.0)
         if right == ("num", 1.0):
             return left
     return (kind, left, right)
 
 
 def _derivative(node, var: str):
+    """Simplified derivative tree.  A chain-rule or product-rule term whose inner
+    derivative simplifies to zero is zero, whatever the factor it multiplies."""
     kind = node[0]
     if kind == "num":
-        return ("num", 0.0)
+        return _ZERO
     if kind == "var":
         return ("num", 1.0 if node[1] == var else 0.0)
     if kind == "neg":
-        return ("neg", _derivative(node[1], var))
+        return _simplify(("neg", _derivative(node[1], var)))
     if kind == "call":
         inner, d_inner = node[2], _derivative(node[2], var)
+        if d_inner == _ZERO:
+            return _ZERO
         name = node[1]
         if name == "sin":
             outer = ("call", "cos", inner)
@@ -276,16 +298,18 @@ def _derivative(node, var: str):
             outer = ("/", inner, ("call", "abs", inner))
         else:  # pragma: no cover - tokenizer rejects unknown functions
             raise ExpressionError(f"no derivative rule for {name!r}")
-        return ("*", outer, d_inner)
+        return _simplify(("*", outer, d_inner))
     left, right = node[1], node[2]
     dl, dr = _derivative(left, var), _derivative(right, var)
     if kind in "+-":
-        return (kind, dl, dr)
+        return _simplify((kind, dl, dr))
+    dl_right = _ZERO if dl == _ZERO else ("*", dl, right)
+    left_dr = _ZERO if dr == _ZERO else ("*", left, dr)
     if kind == "*":
-        return ("+", ("*", dl, right), ("*", left, dr))
+        return _simplify(("+", dl_right, left_dr))
     # quotient rule
-    num = ("-", ("*", dl, right), ("*", left, dr))
-    return ("/", num, ("*", right, right))
+    num = _simplify(("-", dl_right, left_dr))
+    return _ZERO if num == _ZERO else _simplify(("/", num, ("*", right, right)))
 
 
 def _render(node) -> str:
@@ -344,7 +368,7 @@ class Expression:
         if var not in VARIABLES:
             raise ExpressionError(f"unknown variable {var!r}")
         if var not in self._derivs:
-            node = _walk(lambda: _simplify(_derivative(self._node, var)))
+            node = _walk(_derivative, self._node, var)
             self._derivs[var] = Expression(_walk(_render, node), _node=node)
         return self._derivs[var]
 

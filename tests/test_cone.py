@@ -9,11 +9,13 @@ import pytest
 from twosheet import modelfile
 from twosheet.clifford import make_representation
 from twosheet.cone import (
+    CERTIFY_BLOCK_POINTS,
     OBSTRUCTION_BLOCKS_4D,
     CausalElementPair,
     FunctionField,
     _assemble,
     _block_generators,
+    _bracket_4d,
     _grid_min,
     certification_grid,
     charpoly_certificate,
@@ -303,6 +305,85 @@ def test_is_causal_element_reports_the_dense_minimum():
     eigs = pointwise_min_eigenvalues(pair, grid, m, REP4)
     assert res.min_eigenvalue == eigs.min()
     np.testing.assert_array_equal(res.worst_point, grid[np.argmin(eigs)])
+
+
+def _block_part(g, rows, cols):
+    """g's (rows, cols) 2x2 part, after checking g is zero outside it."""
+    rest = g.copy()
+    rest[rows, cols] = 0.0
+    assert not rest.any()
+    return g[rows, cols]
+
+
+def test_4d_blocks_have_the_structure_the_bracket_needs():
+    # each block is [[fa_0 I + sum_j fa_j s_j, -+z I], [-+conj(z) I, fb_0 I + ...]]
+    # with s_j Hermitian, traceless involutions that anticommute pairwise: so
+    # lambda_min(A) = fa_0 - |fa_vec|, and the coupling is a multiple of I
+    eye, top, low = np.eye(2), slice(0, 2), slice(2, 4)
+    for blk in range(2):
+        for first, part in ((0, top), (4, low)):  # sheet a's A, sheet b's C
+            s = [_block_part(G4[first + j, blk], part, part) for j in range(4)]
+            np.testing.assert_array_equal(s[0], eye)
+            for j in range(1, 4):
+                np.testing.assert_array_equal(s[j], s[j].conj().T)
+                assert np.trace(s[j]) == 0.0
+                np.testing.assert_array_equal(s[j] @ s[j], eye)
+                for k in range(1, j):
+                    np.testing.assert_array_equal(s[j] @ s[k] + s[k] @ s[j], 0.0)
+        for c, rows, cols in ((8, top, low), (9, low, top)):  # z and conj(z)
+            b = _block_part(G4[c, blk], rows, cols)
+            assert np.array_equal(b, eye) or np.array_equal(b, -eye)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bracket_holds_every_eigenvalue_over_entries_from_1e_minus_8_to_1e4(seed):
+    rng = np.random.default_rng(seed)
+    fa, fb, z = _random_blocks(rng, 4000, rng.choice([0.05, 0.3, 3.0]))
+    scale = 10.0 ** rng.uniform(-8, 4, size=(3, 4000))
+    fa, fb, z = fa * scale[0, :, None], fb * scale[1, :, None], z * scale[2]
+    lb, ub, bound = _bracket_4d(fa, fb, z)
+    M = _assemble(G4, fa, fb, z)
+    assert np.all(bound >= np.abs(M).max(axis=(-3, -2, -1)))
+    eigs = np.linalg.eigvalsh(M)[..., 0]  # (points, block)
+    slack = 16 * np.finfo(float).eps * bound  # rounding, far below BRACKET_MARGIN
+    assert np.all(lb[:, None] <= eigs + slack[:, None])
+    assert np.all(eigs <= ub[:, None] + slack[:, None])
+
+
+def _eigvalsh_batches(monkeypatch):
+    """Record the number of matrices in each `eigvalsh` call."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return sizes
+
+
+def test_grid_min_with_every_point_a_candidate(monkeypatch):
+    # T alone on flat4d: every block is the identity, so the bracket prunes nothing
+    # and the 17^4 grid is eigensolved in CERTIFY_BLOCK_POINTS batches
+    m = modelfile.load(os.path.join(MODELS, "flat4d.json"))
+    grid = certification_grid(m)
+    _, _, fa, fb, z = pair_field_data(CausalElementPair.from_expressions("t", "t", 4),
+                                      grid, m)
+    dense = _dense_grid_min(fa, fb, z)
+    sizes = _eigvalsh_batches(monkeypatch)
+    assert _grid_min(fa, fb, z, G4) == dense == (1.0, 0)
+    assert sum(sizes) == len(grid) == 17 ** 4
+    assert len(sizes) == -(-len(grid) // CERTIFY_BLOCK_POINTS) > 1
+    assert max(sizes) == CERTIFY_BLOCK_POINTS
+
+
+@pytest.mark.parametrize("where", ["fa", "fb", "z"])
+def test_grid_min_reads_nan_at_its_own_index_in_a_later_batch(where):
+    fa, fb, z = _random_blocks(np.random.default_rng(5), 3 * CERTIFY_BLOCK_POINTS, 0.3)
+    k = 2 * CERTIFY_BLOCK_POINTS + 77
+    {"fa": fa[:, 1], "fb": fb[:, 3], "z": z}[where][k] = np.nan
+    value, index = _grid_min(fa, fb, z, G4)
+    assert np.isnan(value) and index == k
 
 
 # ---------------------------------------------------------------------------

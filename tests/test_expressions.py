@@ -1,6 +1,10 @@
 """Expression grammar: parsing, evaluation, analytic derivatives, errors."""
 
+import ast
+import glob
 import inspect
+import json
+import os
 import sys
 import warnings
 
@@ -9,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosheet.expressions import Expression, ExpressionError, parse_expression
+from twosheet import modelfile
+from twosheet.expressions import (VARIABLES, Expression, ExpressionError, _Parser,
+                                  parse_expression)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -234,3 +240,91 @@ def test_call_returns_an_array_it_owns(src):
     out += 100.0
     np.testing.assert_array_equal(pts, before)
     assert out.flags.writeable and out.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# simplification keeps nan, and derivative trees stay tidy
+
+
+@pytest.mark.parametrize("src,const", [
+    ("0*sqrt(x - 5)", False), ("sqrt(x - 5)*0", False), ("0/(t - t)", False),
+    ("0*(1/(t - t))", False), ("0*x/y", False), ("0*(x + 2*t - y*z)", True),
+    ("(-x)*0", True), ("0*(x*1e999)", False),
+])
+def test_zero_folds_only_where_the_factor_is_finite(src, const):
+    # 0 * u folds to 0 only if u is built from finite numbers and variables by + - *;
+    # 0 / u never folds: the written expression is nan where u is 0, nan or inf
+    e = parse_expression(src)
+    assert e.is_constant() == const
+    with np.errstate(invalid="ignore"):
+        value = e.evaluate(t=1.0, x=2.0, y=0.0, z=3.0)
+    assert (value == 0.0) if const else np.isnan(value)
+
+
+_ZEROED = st.recursive(_SOURCES, lambda sub: st.one_of(
+    sub.map(lambda a: f"(0 * {a})"), sub.map(lambda a: f"({a} * 0)"),
+    sub.map(lambda a: f"(0 / {a})"),
+    st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+), max_leaves=4)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(src=_ZEROED)
+def test_simplification_never_hides_a_nan(src):
+    raw = _Parser(src).parse()
+    with np.errstate(all="ignore"):
+        e = parse_expression(src)
+        for n, pts in _POINTS.items():
+            env = tuple(pts[:, i] if i < n else 0.0 for i in range(4))
+            want = np.broadcast_to(_walk_tree(raw, env), pts.shape[:-1])
+            np.testing.assert_array_equal(e(pts), want, err_msg=src)
+
+
+@pytest.mark.parametrize("src,var,want", [
+    ("sin(sqrt(t))", "x", "0"), ("x*sqrt(t)", "x", "sqrt(t)"),
+    ("sqrt(t)*x", "x", "sqrt(t)"), ("t/sqrt(t)", "x", "0"),
+    ("x/sqrt(t)", "x", "(sqrt(t) / (sqrt(t) * sqrt(t)))"),
+    ("abs(t)*exp(y)", "x", "0"), ("-(sqrt(t))", "x", "0"),
+])
+def test_a_term_with_a_structurally_zero_inner_derivative_is_zero(src, var, want):
+    # the chain and product rules drop a term whose inner derivative is zero, so
+    # d/dx of sqrt(t)*x reads sqrt(t), not sqrt(t) + x * (0.5 / sqrt(t) * 0), which
+    # would be nan at t = 0
+    assert parse_expression(src).derivative(var).source == want
+
+
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+with open(os.path.join(os.path.dirname(__file__), "model_field_derivatives.json")) as _f:
+    # repr of each simplified derivative tree of every field of the shipped models,
+    # recorded before simplification stopped folding 0 * u for u that can be nan
+    _DERIVATIVE_TREES = json.load(_f)
+
+
+def _model_fields(m):
+    if m.conformal_factor is not None:
+        yield "conformal_factor", m.conformal_factor
+    if m.mass_field is not None:
+        yield "mass_field", m.mass_field
+    for a, row in enumerate(m.vielbein or ()):
+        for mu, e in enumerate(row):
+            yield f"vielbein[{a}][{mu}]", e
+    for s, sheet in enumerate(m.vector_potentials or ()):
+        for i, e in enumerate(sheet):
+            yield f"vector_potentials[{s}][{i}]", e
+
+
+def test_shipped_model_field_derivatives_are_unchanged():
+    seen = {}
+    for path in sorted(glob.glob(os.path.join(MODELS, "*.json"))):
+        m = modelfile.load(path)
+        name = os.path.basename(path)[:-len(".json")]
+        pts = np.random.default_rng(0).uniform(m.domain_box[:, 0], m.domain_box[:, 1],
+                                               size=(64, m.dimension))
+        for key, e in _model_fields(m):
+            for var in VARIABLES[:m.dimension]:
+                d = e.derivative(var)
+                seen[f"{name}/{key}/{var}"] = repr(d._node)
+                ref = Expression("reference", _node=ast.literal_eval(
+                    _DERIVATIVE_TREES[f"{name}/{key}/{var}"]))
+                assert d(pts).tobytes() == ref(pts).tobytes(), (name, key, var)
+    assert seen == _DERIVATIVE_TREES

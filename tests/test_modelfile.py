@@ -1,10 +1,16 @@
 """Model file parsing, validation diagnostics, and canonical serialization."""
 
+import contextlib
+import glob
+import io
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twosheet.causality import fluctuate
 from twosheet.cli import main
@@ -219,6 +225,22 @@ def test_nan_frame_names_its_key_without_warnings():
     assert "not finite" in str(err.value)
 
 
+def test_zero_times_a_nan_frame_entry_exits_1(tmp_path, capsys):
+    # 0 * sqrt(x - 5) is nan on the whole box: it must not fold to the constant 0
+    # and join the constant frame table
+    text = VIELBEIN.replace('["0", "1", "0", "0"]', '["0", "1", "0*sqrt(x - 5)", "0"]')
+    assert text != VIELBEIN
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code = main(["decide", "--model", str(path), "--p=0,0,0,0", "--xi", "0",
+                 "--q=1,0,0,0", "--phi", "0.5"])
+    out, err_text = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err_text.splitlines() == [
+        'twosheet: error: model file error at line 3, key "metric.frame": '
+        "vielbein is not finite at a sampled point"]
+
+
 def test_nonfinite_weight_field_names_its_key():
     scalar = FLAT.replace('{"kind": "constant", "re": 1.0, "im": 0.0}',
                           '{"kind": "scalar", "phi": "1 / x"}')
@@ -284,3 +306,76 @@ def test_nonfinite_numbers_exit_1_naming_key_and_line(tmp_path, capsys, old, new
     assert err_text.splitlines() == [
         f'twosheet: error: model file error at line {line}, key "{key}": '
         "must be a finite number"]
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over mutated shipped model files
+
+_MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+_SHIPPED = {}
+for _path in sorted(glob.glob(os.path.join(_MODELS, "*.json"))):
+    with open(_path) as _f:
+        _SHIPPED[os.path.basename(_path)[:-len(".json")]] = json.load(_f)
+_BAD_TEXT = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", _HUGE, "-" + _HUGE,
+             "true", "false", "null", '"1.0"', '"x"', "-1", "0", "-0.5", "3", "1e-320",
+             "[]", "[[]]", "[1]", "{}"]
+
+
+def _targets(node, path=()):
+    """Paths to the numeric leaves of a parsed model file, and to the lists above
+    them (the box and its rows)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _targets(value, path + (key,))
+    elif isinstance(node, list):
+        if any(isinstance(v, (int, float, list)) for v in node):
+            yield path
+        for i, value in enumerate(node):
+            yield from _targets(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+_CASES = [(name, path) for name, doc in _SHIPPED.items() for path in _targets(doc)]
+
+
+def _mutated(name, path, text):
+    """The model file with the value at path replaced by the raw JSON text."""
+    doc = json.loads(json.dumps(_SHIPPED[name]))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = "@@leaf@@"
+    return json.dumps(doc, indent=2).replace('"@@leaf@@"', text)
+
+
+def _query(doc):
+    """decide arguments from the centre of the shipped box to a point later in time."""
+    box = np.array(doc["domain"]["box"], dtype=float)
+    p = box.mean(axis=1)
+    q = p.copy()
+    q[0] += 0.25 * (box[0, 1] - box[0, 0])
+    p, q = (",".join(repr(float(x)) for x in v) for v in (p, q))
+    return [f"--p={p}", "--xi", "0.2", f"--q={q}", "--phi", "0.5"]
+
+
+@settings(deadline=None, derandomize=True, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(_CASES), text=st.sampled_from(_BAD_TEXT))
+def test_a_mutated_model_file_exits_0_or_1_with_one_error_line(tmp_path_factory, case, text):
+    # every numeric leaf, the box and its rows get NaN, +-inf, 1e999, huge integers,
+    # booleans, null, strings, negative or zero sizes and empty lists: decide exits
+    # 0 without "nan", or 1 with exactly one error line
+    name, path = case
+    model = tmp_path_factory.mktemp("mutated") / f"{name}.json"
+    model.write_text(_mutated(name, path, text))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["decide", "--model", str(model)] + _query(_SHIPPED[name]))
+    if code == 0:
+        assert "nan" not in out.getvalue() and err.getvalue() == "", (name, path, text)
+    else:
+        assert code == 1, (name, path, text, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("twosheet: error: "), (
+            name, path, text, err.getvalue())

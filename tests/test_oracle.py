@@ -216,7 +216,7 @@ def _dense_grid_min(fa, fb, z, generators=None):
 
 @pytest.mark.parametrize("name", ["flat4d", "vielbein4d", "tilted"])
 def test_bracketed_sweep_matches_the_dense_sweep(name, monkeypatch):
-    # 10^4 points: two CERTIFY_BLOCK_POINTS slices
+    # 10^4 points, each sweep bracketed over the whole grid at once
     m = _at(_load(name), 10)
     bracketed = sample_causal_elements(m, 3, 1000)
     monkeypatch.setattr(oracle, "_grid_min", _dense_grid_min)

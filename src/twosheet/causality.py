@@ -21,6 +21,7 @@ from .geometry import (
     MixedState,
     NotRelatedError,
     SpacetimeModel,
+    _checked_band,
     _in_reference_cone,
     _resolve_method,
     _segment_values,
@@ -110,10 +111,12 @@ def decide(state1, state2, model: SpacetimeModel, *, method: str = "auto",
     related = base relation on the manifold AND achieved budget >= required budget
     (inclusive, within the method tolerance).  Null-separated points achieve 0, so
     distinct internal coordinates across a null gap are never related.  The
-    marginal band is tol, else model.decision_band, else the method's default.  A
-    diagonal internal operator is decided exactly (related iff xi == phi and p
-    precedes q); method and tol are then unused.
+    marginal band is tol (positive and finite), else model.decision_band, else the
+    method's default.  A diagonal internal operator is decided exactly (related iff
+    xi == phi and p precedes q); method and a valid tol are then unused.
     """
+    if tol is not None:
+        tol = _checked_band(tol)
     s1 = _as_state(state1)
     s2 = _as_state(state2)
     model.require_in_domain(s1.point, s2.point)

@@ -6,11 +6,12 @@ every point the pair produces a Hermitian obstruction matrix
     [[ sum_a V^a a_{,a} ,  -iV * m (a - b) ],
      [ iV * conj(m) (a-b),  sum_a V^a b_{,a} ]]
 
-with frame derivatives a_{,a} = e_a^mu d_mu a and the constant matrices V^a, iV of
-the spin representation.  The pair is a cone element iff this matrix is positive
-semidefinite everywhere.  Certification runs two routes: direct Hermitian
-eigenvalues, and characteristic-polynomial coefficients via trace-power (Newton)
-identities, with closed forms available for the explicit cot/tan witness family.
+with frame derivatives a_{,a} = e_a^mu d_mu a, m = `SpacetimeModel.mass_at` (m / Omega
+on conformal2d) and the constant matrices V^a, iV of the spin representation.  The
+pair is a cone element iff this matrix is positive semidefinite everywhere.
+Certification runs two routes: direct Hermitian eigenvalues, and characteristic-
+polynomial coefficients via trace-power (Newton) identities, with closed forms
+available for the explicit cot/tan witness family.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def pair_field_data(pair: CausalElementPair, points: np.ndarray, model: Spacetim
     """Values, frame gradients, and mass coupling of a pair on a batch of points.
 
     Returns (a, b, fa, fb, z) with fa/fb the flat-frame derivative stacks
-    (..., n) and z = m(point) * (a - b).
+    (..., n) and z = `model.mass_at` * (a - b) (m / Omega on conformal2d).
     """
     pts = np.asarray(points, dtype=float)
     a = pair.a.value(pts)
@@ -476,10 +477,10 @@ def is_causal_element(pair: CausalElementPair, model: SpacetimeModel,
 class WitnessPair(CausalElementPair):
     """Cot/tan pair (a, b) = (-cot(theta)/2, tan(theta)/2) along one timelike curve.
 
-    Values are constant on each sample's time slab and the frame gradients are
-    prescribed, not derived from them; the pair is checked only on a tube around
-    the curve.  It separates the curve's end states but does not prove them
-    unrelated: another curve may still join them.
+    Values are constant on each sample's time slab; the frame gradients are the
+    sample's, scaled to the weight at each point, not derived from the values.  The
+    pair is checked only on a tube around the curve.  It separates the curve's end
+    states but does not prove them unrelated: another curve may still join them.
     """
 
     curve: CausalCurve = None
@@ -563,8 +564,11 @@ def witness_element(curve: CausalCurve, xi: float, phi: float,
         return np.where(np.abs(t - times[idx - 1]) <= np.abs(times[idx] - t), idx - 1, idx)
 
     def side(values, frame):
-        return FunctionField(lambda pts: values[slab(pts)],
-                             lambda pts: model.from_frame(pts, frame[slab(pts)]))
+        def gradient(pts):  # the coupling reads the weight at pts: scale to match it
+            k = slab(pts)
+            ratio = np.divide(model.weight(pts), weight[k], out=np.ones(k.shape), where=weight[k] != 0)
+            return model.from_frame(pts, frame[k] * ratio[..., None])
+        return FunctionField(lambda pts: values[slab(pts)], gradient)
 
     return WitnessPair(
         a=side(a_samples, fa), b=side(b_samples, fb), description="witness",

@@ -7,6 +7,9 @@ weighted length of a causal curve is
 
     integral  weight(gamma(s)) * sqrt(-g(gamma', gamma')) ds.
 
+On conformal2d sqrt(-g(v, v)) = sqrt(-eta(v, v)) / Omega, so the frame stays the
+identity and Omega divides the weight and the coupling instead.
+
 `max_weighted_length` approximates the supremum of that functional over causal
 curves between two points: closed form where available, otherwise a causal-lattice
 dynamic program followed by deterministic polyline refinement.  The lattice runs
@@ -84,6 +87,20 @@ class ModelValidationError(ValueError):
         self.field = field
 
 
+def _checked_band(band) -> float:
+    """A marginal decision band as a float; ValueError unless positive and finite."""
+    if not 0 < band < np.inf:
+        raise ValueError(f"decision band must be positive and finite, got {band!r}")
+    return float(band)
+
+
+def _time_steps(model: "SpacetimeModel", time_steps: Optional[int]) -> int:
+    """The lattice resolution in use: time_steps, else the model's; ValueError below 1."""
+    if time_steps is not None and not time_steps >= 1:
+        raise ValueError(f"time_steps must be >= 1, got {time_steps!r}")
+    return int(model.resolutions["time_steps"] if time_steps is None else time_steps)
+
+
 def _as_point(p, dimension: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float).reshape(-1)
     if arr.shape != (dimension,):
@@ -102,12 +119,13 @@ class SpacetimeModel:
     metric_kind: 'minkowski' | 'conformal2d' | 'vielbein4d'
     mass_kind:   'constant'  | 'scalar'      | 'diagonal'
 
-    Frames come in two families.  The isotropic frame e_a^mu = Omega delta_a^mu
-    covers conformal2d (Omega the conformal factor) and minkowski (Omega = 1);
-    vielbein4d reads the user's 4x4 table e[a][mu].  Construction splits that table
-    once into a constant 4x4 array and the entries that vary, so `frame_matrices`
-    and `time_frame` evaluate only the varying expressions per point (2 of the 16
-    in models/vielbein4d.json, none of its time column).
+    minkowski and conformal2d share the identity frame, and the conformal factor
+    Omega divides `weight` and `mass_at`: that scales the obstruction matrix of the
+    frame e_a^mu = Omega delta_a^mu by 1 / Omega and keeps its weighted lengths.
+    vielbein4d reads the user's 4x4 table e[a][mu].  Construction splits the table
+    once into a constant array and the entries that vary, so `frame_matrices` and
+    `time_frame` evaluate only the varying expressions per point (2 of the 16 in
+    models/vielbein4d.json, none of its time column).
 
     The diagonal kind means the internal operator has no off-diagonal part, so no
     inter-sheet weight exists; decision logic special-cases it and the weighted
@@ -147,10 +165,7 @@ class SpacetimeModel:
         if self.mass_kind == "scalar" and self.mass_field is None:
             raise ValueError("scalar mass needs a field expression")
         if self.decision_band is not None:
-            if not 0 < self.decision_band < np.inf:
-                raise ValueError(f"decision band must be positive and finite, "
-                                 f"got {self.decision_band!r}")
-            object.__setattr__(self, "decision_band", float(self.decision_band))
+            object.__setattr__(self, "decision_band", _checked_band(self.decision_band))
         box = [[-5.0, 5.0]] * self.dimension if self.domain_box is None else self.domain_box
         box = np.array(box, dtype=float).reshape(self.dimension, 2)  # a private copy
         if np.any(box[:, 0] >= box[:, 1]):
@@ -162,17 +177,18 @@ class SpacetimeModel:
             merged["certification"] = 101 if self.dimension == 2 else 17
         object.__setattr__(self, "domain_box", box)
         object.__setattr__(self, "resolutions", MappingProxyType(merged))
+        # the frame table, split once: constant entries in a read-only array (0 where
+        # an entry varies), and the (a, mu, expression) entries that vary; not a
+        # field, so equality, dataclasses.replace and the model file see only the
+        # expressions
+        table, varying = np.eye(self.dimension), ()
         if self.metric_kind == "vielbein4d":
-            # the frame table, split once: constant entries in a read-only 4x4 array
-            # (0 where an entry varies), and the (a, mu, expression) entries that vary;
-            # not a field, so equality, dataclasses.replace and the model file see
-            # only the expressions
             table = np.array([[e.constant_value() if e.is_constant() else 0.0 for e in row]
                               for row in self.vielbein])
-            table.flags.writeable = False
             varying = tuple((a, mu, e) for a, row in enumerate(self.vielbein)
                             for mu, e in enumerate(row) if not e.is_constant())
-            object.__setattr__(self, "_frame_table", (table, varying))
+        table.flags.writeable = False
+        object.__setattr__(self, "_frame_table", (table, varying))
 
     # -- constructors -------------------------------------------------------
 
@@ -213,50 +229,34 @@ class SpacetimeModel:
             if not bool(self.in_domain(arr)):
                 raise DomainError(f"point {arr.tolist()} is outside the domain box")
 
-    def omega(self, points) -> np.ndarray:
-        """Conformal factor; identically 1 for non-conformal metrics."""
-        pts = np.asarray(points, dtype=float)
-        if self.metric_kind == "conformal2d":
-            return self.conformal_factor(pts)
-        return np.ones(pts.shape[:-1])
-
     def weight(self, points) -> np.ndarray:
-        """Inter-sheet weight |m| or |Phi| at the given points."""
+        """Inter-sheet weight |m| or |Phi| at the given points, over Omega on conformal2d."""
         pts = np.asarray(points, dtype=float)
-        if self.mass_kind == "constant":
-            return np.full(pts.shape[:-1], abs(self.mass))
-        if self.mass_kind == "scalar":
-            return np.abs(self.mass_field(pts))
-        raise ValueError("a diagonal internal operator carries no inter-sheet weight")
+        if self.mass_kind == "diagonal":
+            raise ValueError("a diagonal internal operator carries no inter-sheet weight")
+        w = (np.abs(self.mass_field(pts)) if self.mass_kind == "scalar"
+             else np.full(pts.shape[:-1], abs(self.mass)))
+        return w / self.conformal_factor(pts) if self.metric_kind == "conformal2d" else w
 
     def mass_at(self, points) -> np.ndarray:
-        """Complex off-diagonal mass entry (identically 0 for the diagonal kind)."""
+        """Complex off-diagonal coupling m or Phi, over Omega on conformal2d
+        (identically 0 for the diagonal kind)."""
         pts = np.asarray(points, dtype=float)
-        if self.mass_kind == "constant":
-            return np.full(pts.shape[:-1], self.mass, dtype=complex)
-        if self.mass_kind == "scalar":
-            return self.mass_field(pts).astype(complex)
-        return np.zeros(pts.shape[:-1], dtype=complex)
-
-    def _frame_scale(self, points):
-        """Omega of the isotropic frame, shaped to scale (..., n) vectors: the per-point
-        conformal factor on conformal2d, the scalar 1.0 on minkowski (exact, and no
-        per-point array on the hot path)."""
-        if self.metric_kind == "conformal2d":
-            return self.omega(points)[..., None]
-        return 1.0
+        if self.mass_kind == "diagonal":
+            return np.zeros(pts.shape[:-1], dtype=complex)
+        m = (self.mass_field(pts).astype(complex) if self.mass_kind == "scalar"
+             else np.full(pts.shape[:-1], self.mass, dtype=complex))
+        return m / self.conformal_factor(pts) if self.metric_kind == "conformal2d" else m
 
     def frame_matrices(self, points) -> np.ndarray:
         """Vielbein tables E[..., a, mu] with v^mu = sum_a w^a E[a, mu]."""
         pts = np.asarray(points, dtype=float)
-        if self.metric_kind == "vielbein4d":
-            table, varying = self._frame_table
-            E = np.empty(pts.shape[:-1] + (4, 4))
-            E[...] = table
-            for a, mu, e in varying:
-                E[..., a, mu] = e(pts)
-            return E
-        return np.eye(self.dimension) * self.omega(pts)[..., None, None]
+        table, varying = self._frame_table
+        E = np.empty(pts.shape[:-1] + table.shape)
+        E[...] = table
+        for a, mu, e in varying:
+            E[..., a, mu] = e(pts)
+        return E
 
     def frame_components(self, points, velocities) -> np.ndarray:
         """Flat-frame components w^a of coordinate velocities v^mu at points."""
@@ -265,7 +265,7 @@ class SpacetimeModel:
         if self.metric_kind == "vielbein4d":
             E = self.frame_matrices(pts)
             return np.linalg.solve(np.swapaxes(E, -1, -2), v[..., None])[..., 0]
-        return v / self._frame_scale(pts)
+        return v
 
     def to_frame(self, points, grads) -> np.ndarray:
         """Flat-frame derivatives f_a = e_a^mu g_mu of coordinate gradients g at points.
@@ -276,35 +276,26 @@ class SpacetimeModel:
         g = np.asarray(grads, dtype=float)
         if self.metric_kind == "vielbein4d":
             return np.einsum("...am,...m->...a", self.frame_matrices(points), g)
-        if self.metric_kind == "minkowski":
-            # Omega = 1 without the copy that 1.0 * g makes: the oracle maps every draw's
-            # fresh gradients, and that copy took ~10% of flat2d sampling (one thread,
-            # 2-vCPU x86 VM)
-            return g
-        return self._frame_scale(points) * g
+        return g
 
     def time_frame(self, points) -> np.ndarray:
         """Flat-frame derivative f_a = e_a^0 of the time function T(x) = x^0: the
-        frame's time column, evaluating only its varying entries on a vielbein model."""
+        frame's time column, evaluating only its varying entries."""
         pts = np.asarray(points, dtype=float)
-        if self.metric_kind == "vielbein4d":
-            table, varying = self._frame_table
-            f = np.empty(pts.shape[:-1] + (4,))
-            f[...] = table[:, 0]
-            for a, mu, e in varying:
-                if mu == 0:
-                    f[..., a] = e(pts)
-            return f
-        e0 = np.zeros(pts.shape)
-        e0[..., 0] = 1.0
-        return self.to_frame(pts, e0)
+        table, varying = self._frame_table
+        f = np.empty(pts.shape)
+        f[...] = table[:, 0]
+        for a, mu, e in varying:
+            if mu == 0:
+                f[..., a] = e(pts)
+        return f
 
     def from_frame(self, points, f) -> np.ndarray:
         """Coordinate gradients g with to_frame(points, g) = f (the inverse map)."""
         f = np.asarray(f, dtype=float)
         if self.metric_kind == "vielbein4d":
             return np.linalg.solve(self.frame_matrices(points), f[..., None])[..., 0]
-        return f / self._frame_scale(points)
+        return f
 
     def frame_norm2(self, w) -> np.ndarray:
         """eta(w, w) on flat-frame components (negative for timelike)."""
@@ -322,7 +313,7 @@ class SpacetimeModel:
         field_name = "conformal_factor"  # the field under check, named on failure
         try:
             if self.metric_kind == "conformal2d":
-                om = self.omega(mesh)
+                om = self.conformal_factor(mesh)
                 report["min_conformal_factor"] = float(np.min(om))
                 if not np.all(np.isfinite(om)) or report["min_conformal_factor"] <= 0:
                     raise ValueError("conformal factor must be positive on the sampled domain")
@@ -523,12 +514,12 @@ def _relation(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
               steps: int) -> Tuple[bool, Optional[np.ndarray]]:
     """(p precedes q, lattice path p -> q) at `steps` lattice steps per null axis.
 
-    Conformal factors keep the flat cone; vielbein4d accepts a causal straight
-    chord, else sweeps the diamond.  A relation without a path is the chord's.
+    Identity frames keep the flat cone; vielbein4d accepts a causal straight chord,
+    else sweeps the diamond.  A relation without a path is the chord's.
     """
     dt = q[0] - p[0]
     r = np.linalg.norm(q[1:] - p[1:])
-    if model.metric_kind in ("minkowski", "conformal2d"):
+    if model.metric_kind != "vielbein4d":
         return bool(_in_reference_cone(dt, r)), None
     if dt < -CONE_TOL:
         return False, None
@@ -558,7 +549,7 @@ def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8, need_mask: bool 
     """Weighted lengths of straight segments a->b via midpoint composite quadrature.
 
     a, b: (..., n) endpoint arrays.  Returns values (and optionally the causal+future
-    admissibility mask of the samples); a constant frame is mapped once per segment.
+    admissibility mask of the samples); an identity frame is mapped once per segment.
     A non-finite frame norm or weight at a sample inside the box raises ValueError.
     """
     a = np.asarray(a, dtype=float)
@@ -566,8 +557,8 @@ def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8, need_mask: bool 
     delta = b - a
     fr = (np.arange(nsub) + 0.5) / nsub
     pts = a[..., None, :] + fr[:, None] * delta[..., None, :]
-    w = model.frame_components(pts[..., :1, :] if model.metric_kind == "minkowski" else pts,
-                               delta[..., None, :])  # minkowski: one sample stands for all
+    w = model.frame_components(pts if model.metric_kind == "vielbein4d" else pts[..., :1, :],
+                               delta[..., None, :])  # identity frame: one sample stands for all
     eta = model.frame_norm2(w)
     speed = np.sqrt(np.clip(-eta, 0.0, None))
     vals = np.mean(model.weight(pts) * speed, axis=-1)
@@ -654,11 +645,11 @@ def _sweep(model: SpacetimeModel, p: np.ndarray, direction: np.ndarray, hu: floa
 
     A row's nodes inside the domain box and no later than t_max form one run; the
     rest hold -inf.  A row takes the best of its DIAMOND_EDGES candidates in one
-    array operation, then chains its own (0, 1) steps, which carry 0.  On
-    minkowski and conformal2d every edge is causal with speed sqrt(du dv) / omega,
-    so its value is the trapezoid rule of weight / omega at its ends, and the
-    in-row moves are one `np.maximum.accumulate`.  Elsewhere one `_segment_values`
-    call per row masks the edges, and only admissible in-row steps chain.
+    array operation, then chains its own (0, 1) steps, which carry 0.  On an
+    identity frame every edge is causal with speed sqrt(du dv), so its value is the
+    trapezoid rule of the weight at its ends, and the in-row moves are one
+    `np.maximum.accumulate`.  On vielbein4d one `_segment_values` call per row
+    masks the edges, and only admissible in-row steps chain.
     """
     nu, nv = shape
     padded = np.full((nu + _PAD, nv + _PAD), -np.inf)
@@ -674,10 +665,10 @@ def _sweep(model: SpacetimeModel, p: np.ndarray, direction: np.ndarray, hu: floa
     # node (i, j) takes edge k from the flat index i * nv + j - back[k]
     back = np.array([a * nv + b for a, b in DIAMOND_EDGES])
 
-    flat_cone = model.metric_kind in ("minkowski", "conformal2d")
+    flat_cone = model.metric_kind != "vielbein4d"
     if flat_cone:
-        f = np.zeros((nu + _PAD, nv + _PAD))  # weight / omega; 0 off the domain
-        f[_PAD:, _PAD:][inside] = model.weight(pts[inside]) / model.omega(pts[inside])
+        f = np.zeros((nu + _PAD, nv + _PAD))  # the weight; 0 off the domain
+        f[_PAD:, _PAD:][inside] = model.weight(pts[inside])
         f_tails = _edge_tails(f, shape)
         half_speed = 0.5 * np.sqrt(np.outer([1, 2], [0, 1, 2]) * hu * hv)[..., None]
 
@@ -899,12 +890,12 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
     Closed form on flat constant-mass models; causal-lattice DP plus polyline
     refinement otherwise (a certified lower bound).  method='dp' forces the lattice
     even where the closed form applies; 'closed' demands it.  Raises NotRelatedError
-    when p does not precede q, as decided at time_steps.
+    when p does not precede q, as decided at time_steps (>= 1, default the model's).
     """
     p = _as_point(p, model.dimension)
     q = _as_point(q, model.dimension)
     model.require_in_domain(p, q)
-    nt = time_steps or int(model.resolutions["time_steps"])
+    nt = _time_steps(model, time_steps)
     steps = max(nt // 2, 1)
     related, nodes = _relation(model, p, q, steps)
     if not related:
@@ -947,14 +938,14 @@ def single_source_field(model: SpacetimeModel, p, t_max: float,
     """One forward sweep from p over the box part of its diamond up to t_max (2D models).
 
     Node spacing is 2 * (t_max - t_p) / (time_steps - 1) along both null axes, so
-    the nodes take time_steps levels of t from t_p to t_max, and each axis needs
-    at most time_steps nodes.  Cone-surface generation reads the node below each
-    target and tops it up with a straight-chord candidate; both are lower bounds
-    on the supremum.
+    the nodes take time_steps levels of t from t_p to t_max (time_steps >= 1,
+    default the model's), and each axis needs at most time_steps nodes.
+    Cone-surface generation reads the node below each target and tops it up with a
+    straight-chord candidate; both are lower bounds on the supremum.
     """
     p = _as_point(p, model.dimension)
     model.require_in_domain(p)
-    nt = time_steps or int(model.resolutions["time_steps"])
+    nt = _time_steps(model, time_steps)
     span = float(t_max) - p[0]
     h = 2.0 * span / max(nt - 1, 1)
     lo, hi = model.domain_box[1] - p[1]

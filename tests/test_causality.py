@@ -139,8 +139,12 @@ def test_model_decision_band_serves_library_and_cli(banded_scalar2d, capsys):
 
 @pytest.mark.parametrize("band", [0.0, -1e-3, float("nan"), float("inf")])
 def test_decision_band_must_be_positive_and_finite(band):
-    with pytest.raises(ValueError, match="decision band"):
+    with pytest.raises(ValueError, match="decision band") as from_model:
         SpacetimeModel.minkowski(2, decision_band=band)
+    for model in (flat2(), diag2()):  # the caller's band takes the model's check
+        with pytest.raises(ValueError) as from_call:
+            decide(([0.0, 0.0], 0.2), ([1.0, 0.3], 0.5), model, tol=band)
+        assert str(from_call.value) == str(from_model.value)
 
 
 def test_decide_validates_inputs():

@@ -72,6 +72,17 @@ def test_decide_band_override(flat_model, capsys):
     assert doc["marginal"] is True and doc["band"] == 0.5
 
 
+@pytest.mark.parametrize("band", ["nan", "-1", "inf", "0"])
+def test_decide_bad_band_exits_one(band, capsys):
+    # the model file's decision_band and --band share one check
+    code, out, err = run(capsys, "decide", "--model", os.path.join(MODELS, "flat2d.json"),
+                         "--p=0,0", "--xi", "0.2", "--q=1,0.3", "--phi", "0.5",
+                         f"--band={band}")
+    assert code == 1 and out == ""
+    assert err == f"twosheet: error: decision band must be positive and finite, " \
+                  f"got {float(band)!r}\n"
+
+
 def test_decide_outside_domain_exits_one(flat_model, capsys):
     code, out, err = run(capsys, "decide", "--model", flat_model,
                          "--p", "0,0", "--xi", "0", "--q", "9,0", "--phi", "1")
@@ -89,6 +100,17 @@ def test_decide_is_byte_deterministic(flat_model, capsys):
 
 # ---------------------------------------------------------------------------
 # distance / dump-model
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+@pytest.mark.parametrize("command,extra", [("distance", ["--q=2,0.4"]),
+                                           ("cone", ["--xi", "0.2", "--grid", "5x5"])])
+def test_lattice_steps_below_one_exit_one(command, extra, steps, capsys):
+    # 0 used to fall back to the model's resolution and -3 ran one lattice step
+    code, out, err = run(capsys, command, "--model", os.path.join(MODELS, "scalar2d.json"),
+                         "--p=0.5,0", *extra, f"--time-steps={steps}")
+    assert code == 1 and out == ""
+    assert err == f"twosheet: error: time_steps must be >= 1, got {steps}\n"
 
 
 def test_distance_prints_bare_number(flat_model, capsys):

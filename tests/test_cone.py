@@ -85,10 +85,17 @@ def test_nonfinite_gradient_rejected():
 
 
 def test_frame_conversion_conformal():
-    m = SpacetimeModel.conformal("2", mass=1.0, box=[[-3, 3], [-3, 3]])
-    pair = CausalElementPair.from_expressions("t", "t", 2)
-    _, _, fa, _, _ = pair_field_data(pair, np.array([[0.0, 0.0]]), m)
-    np.testing.assert_allclose(fa[0], [2.0, 0.0])
+    # the frame stays the identity and Omega divides the coupling: M is the flat
+    # matrix of mass m / Omega, 1 / Omega times that of the frame e_a = Omega d_a
+    m = SpacetimeModel.conformal("2", mass=0.6 + 0.8j, box=[[-3, 3], [-3, 3]])
+    pair = CausalElementPair.from_expressions("t + 0.5*x", "0", 2)
+    _, _, fa, fb, z = pair_field_data(pair, np.array([[1.0, 0.0]]), m)
+    np.testing.assert_array_equal(fa[0], [1.0, 0.5])
+    np.testing.assert_array_equal(fb[0], [0.0, 0.0])
+    assert z[0] == 0.3 + 0.4j
+    flat = SpacetimeModel.minkowski(2, mass=0.3 + 0.4j, box=[[-3, 3], [-3, 3]])
+    assert obstruction_matrices(pair, [[1.0, 0.0]], m, REP2).tobytes() == \
+        obstruction_matrices(pair, [[1.0, 0.0]], flat, REP2).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +420,20 @@ def test_witness_on_conformal_model():
     assert wp.separation() < 0.0
     tube = witness_tube_grid(curve, 0.1, per_sample=3)
     assert pointwise_min_eigenvalues(wp, tube, m, REP2).min() >= -1e-12
+
+
+def test_witness_with_a_zero_sample_weight_stays_finite():
+    # Phi = t vanishes at the first sample: its slab keeps gradient 0 and no NaN
+    m = SpacetimeModel.minkowski(2, mass_kind="scalar", mass_field=parse_expression("t"),
+                                 box=[[0, 2], [-1, 1]])
+    curve = straight_curve([0.0, 0.0], [1.0, 0.1], n=65)
+    wp = witness_element(curve, 0.0, 1.0, m)
+    tube = witness_tube_grid(curve, 0.1, per_sample=3)
+    for side in (wp.a, wp.b):
+        grads = side.gradient(tube)
+        assert np.isfinite(grads).all()
+        assert not grads[tube[:, 0] == 0.0].any()
+    assert np.isfinite(pointwise_min_eigenvalues(wp, tube, m, REP2)).all()
 
 
 def test_witness_4d():

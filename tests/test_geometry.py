@@ -193,8 +193,8 @@ def test_minkowski_is_the_unit_isotropic_frame():
 
 def _stacked_frame(model, pts):
     """Reference frame table: every entry evaluated per point, then stacked."""
-    if model.metric_kind != "vielbein4d":
-        return np.eye(model.dimension) * model.omega(pts)[..., None, None]
+    if model.metric_kind != "vielbein4d":  # the identity frame
+        return np.broadcast_to(np.eye(model.dimension), pts.shape[:-1] + (model.dimension,) * 2)
     rows = [[model.vielbein[a][mu](pts) for mu in range(4)] for a in range(4)]
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
@@ -284,8 +284,8 @@ def test_weighted_length_complex_mass_uses_magnitude():
 
 
 def test_conformal_length_scales_inversely_with_frame_factor():
-    # the factor scales the frame, e_a = Omega d_a, so g = Omega^-2 eta and
-    # proper times divide by Omega
+    # g = Omega^-2 eta, so proper times divide by Omega: the frame stays the
+    # identity and the weight is |m| / Omega
     m = SpacetimeModel.conformal("2", mass=1.0, box=[[-5, 5], [-5, 5]])
     c = straight_curve([0.0, 0.0], [1.0, 0.0])
     assert weighted_length(c, m) == pytest.approx(0.5, rel=1e-12)

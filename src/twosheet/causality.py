@@ -25,6 +25,7 @@ from .geometry import (
     _in_reference_cone,
     _resolve_method,
     _segment_values,
+    _time_steps,
     is_causally_related,
     max_weighted_length,
     single_source_field,
@@ -198,15 +199,6 @@ def _target_grid(model: SpacetimeModel, grid) -> Tuple[np.ndarray, Optional[Tupl
     return mesh.reshape(-1, model.dimension), shape
 
 
-def _closed_cone_budget(model: SpacetimeModel, p: np.ndarray,
-                        pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    dt = pts[:, 0] - p[0]
-    r = np.linalg.norm(pts[:, 1:] - p[1:], axis=-1)
-    reach = _in_reference_cone(dt, r)
-    weighted = abs(model.mass) * np.sqrt(np.clip(dt * dt - r * r, 0.0, None))
-    return weighted, reach
-
-
 def _chord_budget(model: SpacetimeModel, p: np.ndarray,
                   pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Straight-chord weighted lengths p -> target, with admissibility mask.
@@ -219,18 +211,18 @@ def _chord_budget(model: SpacetimeModel, p: np.ndarray,
     vals = np.empty(len(pts))
     ok = np.empty(len(pts), dtype=bool)
     for s in range(0, len(pts), block):
-        vals[s:s + block], ok[s:s + block] = _segment_values(
-            model, p[None, :], pts[s:s + block], nsub=nsub, need_mask=True)
+        vals[s:s + block], ok[s:s + block] = _segment_values(model, p[None, :],
+                                                             pts[s:s + block], nsub=nsub)
     return vals, ok
 
 
 def _dp_cone_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
-                    time_steps: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+                    reach: np.ndarray, time_steps: int) -> np.ndarray:
+    """Best of the lattice node below and the straight chord, at least 0, at each
+    target in reach; -inf elsewhere."""
     if model.dimension != 2:
         raise NotImplementedError(
             "cone surfaces need a 1+1 lattice; evaluate decide per target in 4D")
-    reach = _in_reference_cone(pts[:, 0] - p[0], np.abs(pts[:, 1] - p[1]))
-
     chord_vals, chord_ok = _chord_budget(model, p, pts)
     weighted = np.where(reach & chord_ok, chord_vals, -np.inf)
 
@@ -240,8 +232,7 @@ def _dp_cone_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,
         node_vals = fld.value[fld.node_below(pts)]
         weighted = np.maximum(weighted, np.where(reach, node_vals, -np.inf))
 
-    weighted = np.where(reach, np.maximum(weighted, 0.0), weighted)
-    return weighted, reach
+    return np.where(reach, np.maximum(weighted, 0.0), weighted)
 
 
 def _validate_closed_cone(state: MixedState, model: SpacetimeModel, pts: np.ndarray,
@@ -286,9 +277,12 @@ def future_cone(state, model: SpacetimeModel, grid=None, *, method: str = "auto"
     For each target q with p preceding q, phi_max = sin^2(min(pi/2, arcsin(sqrt(xi))
     + best weighted length)); on the null boundary the budget is 0, so phi_max = xi.
     The closed form is confirmed against decide on a subsample before being returned.
+    time_steps (>= 1, default the model's) sets the dp lattice; it is checked on
+    every path.
     """
     st = _as_state(state)
     model.require_in_domain(st.point)
+    nt = _time_steps(model, time_steps)
     if model.mass_kind == "diagonal":
         raise ValueError("a diagonal internal operator admits no internal motion; "
                          "the surface is phi = xi on the base cone")
@@ -297,10 +291,12 @@ def future_cone(state, model: SpacetimeModel, grid=None, *, method: str = "auto"
         raise DomainError("cone grid extends outside the model domain box")
 
     used = _resolve_method(model, method)
+    p = st.point
+    reach = _in_reference_cone(pts[:, 0] - p[0], np.linalg.norm(pts[:, 1:] - p[1:], axis=-1))
     if used == "closed":
-        weighted, reach = _closed_cone_budget(model, st.point, pts)
+        weighted = abs(model.mass) * np.sqrt(np.clip(-model.frame_norm2(pts - p), 0.0, None))
     else:
-        weighted, reach = _dp_cone_budget(model, st.point, pts, time_steps)
+        weighted = _dp_cone_budget(model, p, pts, reach, nt)
         reach = reach & np.isfinite(weighted)
 
     phi = np.where(reach, _phi_max_from_budget(st.xi, np.where(reach, weighted, 0.0)), np.nan)

@@ -530,7 +530,7 @@ def witness_element(curve: CausalCurve, xi: float, phi: float,
     gap = abs(r_phi - r_xi)
     sigma = 1.0 if r_phi > r_xi else -1.0
 
-    lengths, w, eta, weight = _cumulative_length(curve, model)
+    lengths, w, eta, defect = _cumulative_length(curve, model)
     total = float(lengths[-1])
     if total >= gap - 1e-12:
         raise ValueError(
@@ -549,12 +549,12 @@ def witness_element(curve: CausalCurve, xi: float, phi: float,
         if not (np.all(theta > -0.5 * np.pi) and np.all(theta < 0.0)):
             raise ValueError("witness angle left (-pi/2, 0); curve violates the slack bound")
 
-    G = -eta  # the lengths' check rejected spacelike and past-directed samples; not null ones
-    norm2 = np.sum(curve.tangents ** 2, axis=-1)
-    if np.any(G <= 1e-12 * np.maximum(norm2, 1e-300)):
+    # the lengths' check rejected spacelike and past-directed samples; not null ones
+    if np.any(defect >= -1e-12):
         raise InvalidCurveError("witness construction needs a future-directed timelike curve")
 
-    fa, fb = _witness_gradients(w, theta, weight, G)
+    weight = model.weight(curve.points)
+    fa, fb = _witness_gradients(w, theta, weight, -eta)
     a_samples, b_samples = -0.5 / np.tan(theta), 0.5 * np.tan(theta)
     times = curve.points[:, 0]
 

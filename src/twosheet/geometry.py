@@ -8,7 +8,10 @@ weighted length of a causal curve is
     integral  weight(gamma(s)) * sqrt(-g(gamma', gamma')) ds.
 
 On conformal2d sqrt(-g(v, v)) = sqrt(-eta(v, v)) / Omega, so the frame stays the
-identity and Omega divides the weight and the coupling instead.
+identity and Omega divides the weight and the coupling instead.  Curves (Simpson)
+and straight segments (midpoint rule) sample one integrand, `_integrand`: one
+frame map, eta from `frame_norm2` (factored in 2D, so near-null chords keep their
+digits), one causal test and one check for a non-finite frame or weight.
 
 `max_weighted_length` approximates the supremum of that functional over causal
 curves between two points: closed form where available, otherwise a causal-lattice
@@ -298,8 +301,13 @@ class SpacetimeModel:
         return f
 
     def frame_norm2(self, w) -> np.ndarray:
-        """eta(w, w) on flat-frame components (negative for timelike)."""
+        """eta(w, w) on flat-frame components (negative for timelike).  In 2D it is
+        (|w1| - w0)(w0 + |w1|), where near the light cone |w1| - w0 is exact; in 4D
+        a computed |w| would round as much as the squares do."""
         w = np.asarray(w)
+        if self.dimension == 2:
+            r = np.abs(w[..., 1])
+            return (r - w[..., 0]) * (w[..., 0] + r)
         return -w[..., 0] ** 2 + np.sum(w[..., 1:] ** 2, axis=-1)
 
     # -- sampled sanity checks ----------------------------------------------
@@ -426,41 +434,56 @@ class CurveReport:
         return bool(np.all(self.causal_flags) and np.all(self.future_flags))
 
 
-def _curve_frame_data(curve: CausalCurve, model: SpacetimeModel):
-    """Frame tangents, normalized causality defect, and future flags per sample."""
-    w = model.frame_components(curve.points, curve.tangents)
-    norm2 = np.sum(curve.tangents ** 2, axis=-1)
+def _integrand(model: SpacetimeModel, samples, velocities, weigh: bool = True):
+    """(w, eta, defect, mean) of coordinate velocities v (..., 1, n) at samples (..., k, n).
+
+    w are the frame tangents and eta = eta(w, w), mapped at every sample, or at the
+    first of each row on an identity frame.  v is causal where the defect
+    eta / |v|^2 is <= CURVE_TOL, and future-directed where w^0 > 0.  mean averages
+    the integrand weight * sqrt(-eta) over the k samples (None unless weigh).  A
+    non-finite norm or weight at a sample inside the box raises ValueError, where a
+    NaN would silently fail the causal test; lattice nodes may leave the box.
+    """
+    w = model.frame_components(samples if model.metric_kind == "vielbein4d"
+                               else samples[..., :1, :], velocities)
     eta = model.frame_norm2(w)
-    defect = eta / np.maximum(norm2, 1e-300)  # eta on the (Euclid-)normalized tangent
-    future = w[..., 0] > 0
-    return w, eta, defect, future
+    defect = eta / np.maximum((velocities * velocities).sum(-1), 1e-300)
+    if not weigh:
+        return w, eta, defect, None
+    vals = (model.weight(samples) * np.sqrt(np.clip(-eta, 0.0, None))).mean(-1)
+    if not (np.isfinite(vals).all() and np.max(eta, initial=-np.inf) < np.inf):
+        bad = ~(np.isfinite(eta) & np.isfinite(model.weight(samples))) & model.in_domain(samples)
+        if bad.any():
+            raise ValueError(f"the frame or the weight is not finite at "
+                             f"{samples[bad][0].tolist()} inside the domain box")
+    return w, eta, defect, vals
 
 
 def validate_curve(curve: CausalCurve, model: SpacetimeModel) -> CurveReport:
     """Per-sample causality/future-direction report; never raises."""
-    _, _, defect, future = _curve_frame_data(curve, model)
-    causal = defect <= CURVE_TOL
-    worst = int(np.argmax(defect))
-    return CurveReport(causal_flags=causal, future_flags=future,
-                       worst_violation=float(defect[worst]), worst_index=worst)
+    w, _, defect, _ = _integrand(model, curve.points[:, None], curve.tangents[:, None],
+                                 weigh=False)
+    worst = int(np.argmax(defect[:, 0]))
+    return CurveReport(causal_flags=defect[:, 0] <= CURVE_TOL, future_flags=w[:, 0, 0] > 0,
+                       worst_violation=float(defect[worst, 0]), worst_index=worst)
 
 
+@np.errstate(all="ignore")  # a non-finite frame or weight fails `_integrand`'s check
 def _checked_integrand(curve: CausalCurve, model: SpacetimeModel):
-    """(integrand, w, eta, weight) of a future-directed causal curve: the weighted
-    proper-time integrand weight * sqrt(-eta) per sample, with the frame tangents w,
-    their eta(w, w) and the weight.  Raises InvalidCurveError naming the sample
-    with the worst causality defect, else the first past-directed one."""
-    w, eta, defect, future = _curve_frame_data(curve, model)
-    if np.any(defect > CURVE_TOL):
+    """(integrand, w, eta, defect) per sample of a future-directed causal curve, as
+    `_integrand` gives them.  Raises InvalidCurveError naming the sample with the
+    worst causality defect, else the first past-directed one."""
+    w, eta, defect, integrand = _integrand(model, curve.points[:, None], curve.tangents[:, None])
+    w, eta, defect = w[:, 0], eta[:, 0], defect[:, 0]
+    if not np.all(defect <= CURVE_TOL):
         idx = int(np.argmax(defect))
         raise InvalidCurveError(
             f"spacelike tangent at sample {idx} (normalized defect {defect[idx]:.3e})"
         )
-    if not np.all(future):
-        idx = int(np.argmin(future))
+    if not np.all(w[:, 0] > 0):
+        idx = int(np.argmin(w[:, 0] > 0))
         raise InvalidCurveError(f"tangent is not future-directed at sample {idx}")
-    weight = model.weight(curve.points)
-    return weight * np.sqrt(np.clip(-eta, 0.0, None)), w, eta, weight
+    return integrand, w, eta, defect
 
 
 def weighted_length(curve: CausalCurve, model: SpacetimeModel) -> float:
@@ -488,9 +511,9 @@ def cumulative_weighted_length(curve: CausalCurve, model: SpacetimeModel) -> np.
 
 
 def _cumulative_length(curve: CausalCurve, model: SpacetimeModel):
-    """(running weighted length, w, eta, weight): the lengths with the frame tangents,
-    their eta(w, w) and the weight of `_checked_integrand`."""
-    integrand, w, eta, weight = _checked_integrand(curve, model)
+    """(running weighted length, w, eta, defect): the lengths with the frame tangents,
+    their eta(w, w) and causality defects of `_checked_integrand`."""
+    integrand, w, eta, defect = _checked_integrand(curve, model)
     if curve.ts.shape[0] >= 3:
         from scipy.integrate import cumulative_simpson
 
@@ -498,7 +521,7 @@ def _cumulative_length(curve: CausalCurve, model: SpacetimeModel):
     else:
         mids = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(curve.ts)
         lengths = np.concatenate([[0.0], np.cumsum(mids)])
-    return lengths, w, eta, weight
+    return lengths, w, eta, defect
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +548,7 @@ def _relation(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
         return False, None
     if r <= 1e-14 and abs(dt) <= 1e-14:
         return True, None
-    _, ok = _segment_values(model, p[None, :], q[None, :], nsub=16, need_mask=True)
+    _, ok = _segment_values(model, p[None, :], q[None, :], nsub=16)
     if bool(ok[0]):
         return True, None
     path = _diamond_path(model, p, q, steps)
@@ -545,36 +568,20 @@ def is_causally_related(p, q, model: SpacetimeModel) -> bool:
 # segment quadrature (shared by the lattice, chords, and polyline refinement)
 
 
-def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8, need_mask: bool = False):
+def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8):
     """Weighted lengths of straight segments a->b via midpoint composite quadrature.
 
-    a, b: (..., n) endpoint arrays.  Returns values (and optionally the causal+future
-    admissibility mask of the samples); an identity frame is mapped once per segment.
-    A non-finite frame norm or weight at a sample inside the box raises ValueError.
+    a, b: (..., n) endpoint arrays.  Returns (`_integrand`'s means, the causal+future
+    admissibility mask of the samples); a segment of length <= 1e-14 counts as
+    future-directed.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    delta = b - a
+    delta = np.asarray(b, dtype=float) - a
     fr = (np.arange(nsub) + 0.5) / nsub
     pts = a[..., None, :] + fr[:, None] * delta[..., None, :]
-    w = model.frame_components(pts if model.metric_kind == "vielbein4d" else pts[..., :1, :],
-                               delta[..., None, :])  # identity frame: one sample stands for all
-    eta = model.frame_norm2(w)
-    speed = np.sqrt(np.clip(-eta, 0.0, None))
-    vals = np.mean(model.weight(pts) * speed, axis=-1)
-    # a non-finite weight or a NaN or -inf norm makes vals non-finite; +inf and NaN
-    # norms fail the max.  Only then are the samples located: lattice nodes may leave
-    # the box, but inside it a NaN would silently fail the causal mask.
-    if not (np.isfinite(vals).all() and np.max(eta, initial=-np.inf) < np.inf):
-        bad = ~(np.isfinite(eta) & np.isfinite(model.weight(pts))) & model.in_domain(pts)
-        if bad.any():
-            raise ValueError(f"the frame or the weight is not finite at "
-                             f"{pts[bad][0].tolist()} inside the domain box")
-    if not need_mask:
-        return vals
-    norm2 = np.maximum(np.sum(delta * delta, axis=-1), 1e-300)
-    causal = np.all(eta <= CURVE_TOL * norm2[..., None], axis=-1)
-    future = np.all(w[..., 0] > 0, axis=-1) | (norm2 <= 1e-28)
+    w, _, defect, vals = _integrand(model, pts, delta[..., None, :])
+    causal = (defect <= CURVE_TOL).all(-1)
+    future = (w[..., 0] > 0).all(-1) | ((delta * delta).sum(-1) <= 1e-28)
     return vals, causal & future
 
 
@@ -712,8 +719,7 @@ def _masked_edges(model: SpacetimeModel, pts: np.ndarray, lo: np.ndarray, hi: np
     run = pts[i, lo[i]:hi[i]]
     starts = [pts[i - a, c0 - b:c1 - b] for a, b, c0, c1 in spans] + [run[:-1]]
     ends = [pts[i, c0:c1] for _, _, c0, c1 in spans] + [run[1:]]
-    vals, ok = _segment_values(model, np.concatenate(starts), np.concatenate(ends),
-                               nsub=1, need_mask=True)
+    vals, ok = _segment_values(model, np.concatenate(starts), np.concatenate(ends), nsub=1)
     vals = np.where(ok, vals, -np.inf)
     e0 = 0
     for a, b, c0, c1 in spans:
@@ -764,7 +770,7 @@ def _diamond_path(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
 
 
 def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
-                     nsub: int, passes: int = 2) -> Tuple[float, np.ndarray]:
+                     nsub: int) -> Tuple[float, np.ndarray]:
     """Deterministic improvement of a causal polyline; returns (value, nodes).
 
     Two moves, each batched over nodes whose segments do not overlap, so one
@@ -778,15 +784,15 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
     - Node moves: shift single interior nodes sideways (polishes the local
       profile), in red/black sweeps: all odd nodes, then all even ones.  Each node
       tries every direction, then the steps hx and hx/4, then both signs, starting
-      from wherever its last accepted move left it.  At most `passes` sweeps run,
-      and they stop early when a sweep improves nothing.
+      from wherever its last accepted move left it.  At most two sweeps run, and
+      they stop early when a sweep improves nothing.
 
     A move is accepted when every new segment is causal and future-directed and
     the value gains more than 1e-15, so the value is always a certified lower bound.
     """
     nodes = np.array(nodes, dtype=float)
     L = len(nodes)
-    seg = _segment_values(model, nodes[:-1], nodes[1:], nsub=nsub)
+    seg = _segment_values(model, nodes[:-1], nodes[1:], nsub=nsub)[0]
 
     span = L - 1
     while span >= 2:
@@ -804,7 +810,7 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
         directions = [np.concatenate([[0.0], d]) for d in dirs]
 
     colours = [np.arange(first, L - 1, 2) for first in (1, 2)]
-    for _ in range(passes):
+    for _ in range(2):
         improved = False
         for ks in colours:
             if len(ks) == 0:
@@ -821,8 +827,7 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
 
 def _replace_chords(model, nodes, seg, starts, span, nsub) -> None:
     """Try the chords [i, i + span] for segment-disjoint starts i, in place."""
-    _, ok = _segment_values(model, nodes[starts], nodes[starts + span], nsub=nsub,
-                            need_mask=True)
+    _, ok = _segment_values(model, nodes[starts], nodes[starts + span], nsub=nsub)
     starts = starts[ok]
     if len(starts) == 0:
         return
@@ -831,7 +836,7 @@ def _replace_chords(model, nodes, seg, starts, span, nsub) -> None:
     frac = (nodes[idx, 0] - a[:, :1]) / np.maximum(b[:, :1] - a[:, :1], 1e-300)
     straight = a[:, None, :] + frac[..., None] * (b - a)[:, None, :]
     straight[:, -1] = b  # a + 1 * (b - a) can miss b by an ulp
-    new_vals = _segment_values(model, straight[:, :-1], straight[:, 1:], nsub=nsub)
+    new_vals = _segment_values(model, straight[:, :-1], straight[:, 1:], nsub=nsub)[0]
     better = np.sum(new_vals, axis=-1) > np.sum(seg[idx[:, :-1]], axis=-1) + 1e-15
     nodes[idx[better, 1:-1]] = straight[better, 1:-1]
     seg[idx[better, :-1]] = new_vals[better]
@@ -842,8 +847,7 @@ def _move_nodes(model, nodes, seg, ks, shift, nsub) -> bool:
     n = len(ks)
     cand = nodes[ks] + shift
     vals, ok = _segment_values(model, np.concatenate([nodes[ks - 1], cand]),
-                               np.concatenate([cand, nodes[ks + 1]]),
-                               nsub=nsub, need_mask=True)
+                               np.concatenate([cand, nodes[ks + 1]]), nsub=nsub)
     va, vb = vals[:n], vals[n:]
     better = ok[:n] & ok[n:] & (va + vb > seg[ks - 1] + seg[ks] + 1e-15)
     moved = ks[better]
@@ -853,13 +857,12 @@ def _move_nodes(model, nodes, seg, ks, shift, nsub) -> bool:
     return bool(np.any(better))
 
 
-def _polyline_to_curve(nodes: np.ndarray, subdivide: int = 4) -> CausalCurve:
-    """Resample a polyline into a CausalCurve (extra nodes keep tangents near the chords)."""
-    pts = [nodes[0]]
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        for k in range(1, subdivide + 1):
-            pts.append(a + (b - a) * k / subdivide)
-    pts = np.array(pts)
+def _polyline_to_curve(nodes: np.ndarray) -> CausalCurve:
+    """Resample a polyline into a CausalCurve, four samples per segment (the extra
+    nodes keep tangents near the chords)."""
+    a = nodes[:-1, None, :]
+    steps = a + (nodes[1:, None, :] - a) * (np.arange(1, 5)[:, None] / 4)
+    pts = np.concatenate([nodes[:1], steps.reshape(-1, nodes.shape[1])])
     # parametrize by row index scaled to [0, 1]; tangent direction is what matters
     ts = np.linspace(0.0, 1.0, len(pts))
     degenerate = np.linalg.norm(pts[-1] - pts[0]) <= 1e-14
@@ -903,7 +906,7 @@ def max_weighted_length(p, q, model: SpacetimeModel, *, time_steps: Optional[int
 
     dt = q[0] - p[0]
     if _resolve_method(model, method) == "closed":
-        val = abs(model.mass) * float(np.sqrt(max(0.0, dt * dt - np.sum((q[1:] - p[1:]) ** 2))))
+        val = abs(model.mass) * float(np.sqrt(max(0.0, -model.frame_norm2(q - p))))
         if return_curve:
             return val, straight_curve(p, q, n=129)
         return val

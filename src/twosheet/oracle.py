@@ -248,13 +248,13 @@ class _GridContext:
     coordinates `axes`, from which `_separable_draw` builds each draw's bumps.  The
     obstruction matrix is linear in the frame gradients (fa, fb) and the coupling z,
     so T's blocks (fa = fb = fT, z = 0) plus s times a draw's bump blocks give the
-    element's blocks.  Each draw maps its gradients with `SpacetimeModel.to_frame`:
-    re-evaluating a vielbein table costs a small fraction of a draw, and the table is
-    not held for the whole run.  Both sweeps are one `cone._grid_min` call on the
-    whole grid, which in 4D bounds every point in closed form and eigensolves only
-    the points whose bracket reaches the grid minimum.  One thread, 2-vCPU x86 VM: a
-    flat2d element takes about 1.7 ms on the 101^2 grid, and a flat4d or vielbein4d
-    element 0.04-0.08 s on the 17^4 grid.
+    element's blocks.  Each draw maps its gradients with `SpacetimeModel.to_frame`,
+    which re-evaluates a vielbein table rather than hold it (10.7 MB on 17^4 points).
+    Both sweeps are one `cone._grid_min` call on the whole grid, which in 4D bounds
+    every point in closed form and eigensolves only the points whose bracket reaches
+    the grid minimum.  One thread, 2-vCPU x86 VM: a flat2d element takes about 1.7 ms
+    on the 101^2 grid, and a flat4d or vielbein4d element 0.04-0.08 s on the 17^4
+    grid, of which `to_frame` takes 16-17 of 57-62 ms on vielbein4d.
     """
 
     @np.errstate(all="ignore")  # a non-finite frame fails the time-slicing check

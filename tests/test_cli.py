@@ -113,6 +113,16 @@ def test_lattice_steps_below_one_exit_one(command, extra, steps, capsys):
     assert err == f"twosheet: error: time_steps must be >= 1, got {steps}\n"
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+@pytest.mark.parametrize("model,p", [("flat2d", "--p=0,0"), ("scalar2d", "--p=4,0")])
+def test_cone_steps_below_one_exit_one_without_a_lattice(model, p, steps, capsys):
+    # the closed form, and a dp surface with no target later than p, run no lattice
+    code, out, err = run(capsys, "cone", "--model", os.path.join(MODELS, model + ".json"), p,
+                         "--xi", "0.2", "--grid", "5x5", f"--time-steps={steps}")
+    assert code == 1 and out == ""
+    assert err == f"twosheet: error: time_steps must be >= 1, got {steps}\n"
+
+
 def test_distance_prints_bare_number(flat_model, capsys):
     code, out, _ = run(capsys, "distance", "--model", flat_model,
                        "--p", "0,0", "--q", "2,0")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .expressions import Expression, parse_expression
 from .geometry import (
+    CURVE_TOL,
     DomainError,
     MixedState,
     NotRelatedError,
@@ -204,16 +205,17 @@ def _chord_budget(model: SpacetimeModel, p: np.ndarray,
     """Straight-chord weighted lengths p -> target, with admissibility mask.
 
     Every chord is one segment with the exact velocity target - p, so a null
-    target gets exactly 0.
+    target gets exactly 0.  A chord is admissible within CURVE_TOL, as in the base
+    relation, so no target on the null boundary loses its budget.
     """
     nsub = 32 * int(model.resolutions["quadrature"])
     block = max(1, _CHORD_BLOCK_SAMPLES // nsub)
     vals = np.empty(len(pts))
-    ok = np.empty(len(pts), dtype=bool)
+    defect = np.empty(len(pts))
     for s in range(0, len(pts), block):
-        vals[s:s + block], ok[s:s + block] = _segment_values(model, p[None, :],
-                                                             pts[s:s + block], nsub=nsub)
-    return vals, ok
+        vals[s:s + block], defect[s:s + block] = _segment_values(model, p[None, :],
+                                                                 pts[s:s + block], nsub=nsub)
+    return vals, defect <= CURVE_TOL
 
 
 def _dp_cone_budget(model: SpacetimeModel, p: np.ndarray, pts: np.ndarray,

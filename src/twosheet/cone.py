@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import SpinRepresentation
+from .clifford import SpinRepresentation, make_representation
 from .expressions import Expression, parse_expression
 from .geometry import (
     CausalCurve,
@@ -145,14 +145,14 @@ def pair_field_data(pair: CausalElementPair, points: np.ndarray, model: Spacetim
     return a, b, fa, fb, z
 
 
-def _block_generators(rep: SpinRepresentation, blocks=None) -> np.ndarray:
-    """Constant matrices G_c with obstruction matrix = sum_c coef_c G_c.
+def _generators(dimension: int) -> np.ndarray:
+    """Constant matrices G_c with obstruction matrix = sum_c coef_c G_c, in the
+    fixed representation `make_representation(dimension)`.
 
     coef = (fa, fb, z, conj z).  Shape (2n + 2, 2k, 2k): the V^a of each sheet and
-    the -iV / iV couplings.  With `blocks` (index sets such as
-    OBSTRUCTION_BLOCKS_4D), each G_c is restricted to those invariant blocks:
-    shape (2n + 2, len(blocks), b, b).
+    the -iV / iV couplings.
     """
+    rep = make_representation(dimension)
     n, k = rep.dimension, rep.spinor_size
     full = np.zeros((2 * n + 2, 2 * k, 2 * k), dtype=complex)
     for a, Va in enumerate(rep.v_ops.vs):
@@ -160,9 +160,16 @@ def _block_generators(rep: SpinRepresentation, blocks=None) -> np.ndarray:
         full[n + a, k:, k:] = Va
     full[2 * n, :k, k:] = -rep.v_ops.iV
     full[2 * n + 1, k:, :k] = rep.v_ops.iV
-    if blocks is None:
-        return full
-    return np.stack([full[(np.s_[:], *np.ix_(blk, blk))] for blk in blocks], axis=1)
+    full.flags.writeable = False
+    return full
+
+
+# the generator tables, built once: full matrices per dimension, and in 4D each
+# generator restricted to the invariant blocks, shape (10, 2, 4, 4)
+_GENERATORS = {n: _generators(n) for n in (2, 4)}
+_BLOCK_GENERATORS_4D = np.stack([_GENERATORS[4][(np.s_[:], *np.ix_(blk, blk))]
+                                for blk in OBSTRUCTION_BLOCKS_4D], axis=1)
+_BLOCK_GENERATORS_4D.flags.writeable = False
 
 
 def _assemble(generators: np.ndarray, fa: np.ndarray, fb: np.ndarray,
@@ -189,16 +196,19 @@ def _min_eig_2x2(x: np.ndarray, y: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return 0.5 * (x + y) - np.sqrt(0.25 * (x - y) ** 2 + z2)
 
 
-def _min_eigenvalues(fa: np.ndarray, fb: np.ndarray, z: np.ndarray,
-                     generators: Optional[np.ndarray] = None) -> np.ndarray:
+def _min_eigenvalues(fa: np.ndarray, fb: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Smallest obstruction eigenvalue per point from the invariant-block split.
 
-    2D: closed form on the 2x2 blocks.  4D: `generators` restricted to
-    OBSTRUCTION_BLOCKS_4D, and a Hermitian eigensolve per 4x4 block.
+    2D: closed form on the 2x2 blocks.  4D: a Hermitian eigensolve per 4x4 block
+    of _BLOCK_GENERATORS_4D; a point with a non-finite entry reads NaN.
     """
     if fa.shape[-1] == 2:
         return np.minimum(*(_min_eig_2x2(*blk) for blk in _blocks_2d(fa, fb, z)))
-    return np.linalg.eigvalsh(_assemble(generators, fa, fb, z))[..., 0].min(axis=-1)
+    M = _assemble(_BLOCK_GENERATORS_4D, fa, fb, z)
+    finite = np.isfinite(M).all(axis=(-3, -2, -1))
+    vals = np.full(M.shape[:-3], np.nan)
+    vals[finite] = np.linalg.eigvalsh(M[finite])[..., 0].min(axis=-1)
+    return vals
 
 
 def _bracket_4d(fa: np.ndarray, fb: np.ndarray, z: np.ndarray):
@@ -218,17 +228,16 @@ def _bracket_4d(fa: np.ndarray, fb: np.ndarray, z: np.ndarray):
     return _min_eig_2x2(a, c, rz ** 2), np.minimum(a, c), scale
 
 
-def _grid_min(fa: np.ndarray, fb: np.ndarray, z: np.ndarray,
-              generators: Optional[np.ndarray] = None) -> Tuple[float, int]:
+def _grid_min(fa: np.ndarray, fb: np.ndarray, z: np.ndarray) -> Tuple[float, int]:
     """Smallest obstruction eigenvalue over points (N, n), and the first point
     holding it: the minimum and argmin of `_min_eigenvalues`, bit for bit.
 
     2D reads the closed form at every point.  4D brackets every point with
     `_bracket_4d`, which needs no matrix.  A point whose lb exceeds the grid's
     smallest ub by more than the rounding margin BRACKET_MARGIN * (1 + max scale)
-    cannot hold the minimum, so `_assemble` and `eigvalsh` run only on the others
-    (well under 1% of a sampled element's grid), CERTIFY_BLOCK_POINTS at a time.  A
-    NaN bound compares false, so its point stays a candidate, and a point with a
+    cannot hold the minimum, so `_min_eigenvalues` runs only on the others (well
+    under 1% of a sampled element's grid), CERTIFY_BLOCK_POINTS at a time.  A NaN
+    bound compares false, so its point stays a candidate, and a point with a
     non-finite entry reads NaN: the minimum fails closed instead of raising.
     """
     if fa.shape[-1] == 2:
@@ -238,22 +247,26 @@ def _grid_min(fa: np.ndarray, fb: np.ndarray, z: np.ndarray,
         cand = np.flatnonzero(~(lb > np.min(ub) + BRACKET_MARGIN * (1.0 + np.max(scale))))
         vals = np.full(len(fa), np.inf)
         for sub in np.split(cand, range(CERTIFY_BLOCK_POINTS, len(cand), CERTIFY_BLOCK_POINTS)):
-            M = _assemble(generators, fa[sub], fb[sub], z[sub])
-            finite = np.isfinite(M).all(axis=(-3, -2, -1))
-            vals[sub] = np.nan
-            vals[sub[finite]] = np.linalg.eigvalsh(M[finite])[..., 0].min(axis=-1)
+            vals[sub] = _min_eigenvalues(fa[sub], fb[sub], z[sub])
     i = int(np.argmin(vals))
     return float(vals[i]), i
+
+
+def _checked_field_data(pair: CausalElementPair, points, model: SpacetimeModel,
+                        rep: SpinRepresentation):
+    """`pair_field_data` on points (..., n); ValueError unless the points, the model
+    and the representation share one dimension."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1] != model.dimension or model.dimension != rep.dimension:
+        raise ValueError("model, representation, and points must share one dimension")
+    return pair_field_data(pair, pts, model)
 
 
 def obstruction_matrices(pair: CausalElementPair, points, model: SpacetimeModel,
                          rep: SpinRepresentation) -> np.ndarray:
     """Stacked Hermitian obstruction matrices, shape (..., 2k, 2k)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != model.dimension or model.dimension != rep.dimension:
-        raise ValueError("model, representation, and points must share one dimension")
-    _, _, fa, fb, z = pair_field_data(pair, pts, model)
-    return _assemble(_block_generators(rep), fa, fb, z)
+    _, _, fa, fb, z = _checked_field_data(pair, points, model, rep)
+    return _assemble(_GENERATORS[model.dimension], fa, fb, z)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +286,13 @@ def _require_hermitian(M: np.ndarray):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
 
 
-def is_psd(M: np.ndarray, tol: float = PSD_TOL) -> PsdResult:
-    """Eigenvalue route: PSD iff the smallest eigenvalue is >= -tol."""
+def is_psd(M: np.ndarray) -> PsdResult:
+    """Eigenvalue route: PSD iff the smallest eigenvalue is >= -PSD_TOL."""
     mat = np.asarray(M)
     _require_hermitian(mat)
     eigs = np.linalg.eigvalsh(mat)
     mn = float(eigs[0])
-    return PsdResult(passed=mn >= -tol, min_eigenvalue=mn)
+    return PsdResult(passed=mn >= -PSD_TOL, min_eigenvalue=mn)
 
 
 @dataclass
@@ -300,8 +313,7 @@ class CertificateResult:
 
 
 def charpoly_certificate(M: np.ndarray,
-                         closed_form: Optional[Sequence[float]] = None,
-                         tol: float = PSD_TOL) -> CertificateResult:
+                         closed_form: Optional[Sequence[float]] = None) -> CertificateResult:
     """Coefficient route via trace-power (Newton) identities.
 
     The recursion runs on M / scale with scale ~ the RMS eigenvalue magnitude, which
@@ -335,7 +347,7 @@ def charpoly_certificate(M: np.ndarray,
         e.append(acc / j)
     unit = np.array([x.real for x in e[1:]])
     coeffs = unit * scale ** np.arange(1, k + 1)
-    passed = bool(np.all(unit >= -tol))
+    passed = bool(np.all(unit >= -PSD_TOL))
     return CertificateResult(coefficients=coeffs, unit_coefficients=unit, scale=scale,
                              passed=passed,
                              closed_form_discrepancy=_cf_gap(coeffs, closed_form, scale))
@@ -376,7 +388,7 @@ def witness_matrix_at(w, theta: float, m: complex, rep: SpinRepresentation) -> n
         raise ValueError("theta must stay away from multiples of pi/2")
     fa, fb = _witness_gradients(w, theta, abs(m), G)
     z = np.asarray(-m / s2t, dtype=complex)
-    return _assemble(_block_generators(rep), fa, fb, z)
+    return _assemble(_GENERATORS[rep.dimension], fa, fb, z)
 
 
 def _witness_gradients(w, theta, weight, G):
@@ -434,11 +446,10 @@ def pointwise_min_eigenvalues(pair: CausalElementPair, points, model: SpacetimeM
     """Smallest obstruction eigenvalue per point, using the invariant-block split.
 
     The 2D matrix splits into 2x2 blocks on index pairs (0,3) and (1,2) — closed
-    form.  The 8x8 splits into 4x4 blocks on indices (0,1,6,7) and (2,3,4,5).
+    form.  The 8x8 splits into 4x4 blocks on indices (0,1,6,7) and (2,3,4,5); a
+    point with a non-finite entry reads NaN.
     """
-    _, _, fa, fb, z = pair_field_data(pair, points, model)
-    gens = None if model.dimension == 2 else _block_generators(rep, OBSTRUCTION_BLOCKS_4D)
-    return _min_eigenvalues(fa, fb, z, gens)
+    return _min_eigenvalues(*_checked_field_data(pair, points, model, rep)[2:])
 
 
 @dataclass
@@ -446,27 +457,23 @@ class ConeMembership:
     passed: bool
     min_eigenvalue: float
     worst_point: np.ndarray
-    tol: float
 
 
 def is_causal_element(pair: CausalElementPair, model: SpacetimeModel,
-                      rep: SpinRepresentation, grid=None, tol: float = PSD_TOL) -> ConeMembership:
+                      rep: SpinRepresentation, grid=None) -> ConeMembership:
     """PSD sweep over a grid; reports the point with the most negative eigenvalue.
 
     The sweep is `_grid_min`: in 4D only points whose closed-form eigenvalue bracket
     reaches the grid minimum are eigensolved, with the dense sweep's minimum and
-    first worst point.  A non-finite matrix entry reads NaN and fails the test.
+    first worst point.  A non-finite matrix entry reads NaN and fails the test, and
+    a representation or grid of another dimension than the model's raises ValueError.
     """
     pts = certification_grid(model) if grid is None else np.asarray(grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     if pts.size == 0:
         raise ValueError("empty certification grid")
-    pts = pts.reshape(-1, model.dimension)
-    _, _, fa, fb, z = pair_field_data(pair, pts, model)
-    gens = None if model.dimension == 2 else _block_generators(rep, OBSTRUCTION_BLOCKS_4D)
-    mn, worst = _grid_min(fa, fb, z, gens)
-    return ConeMembership(passed=mn >= -tol, min_eigenvalue=mn, worst_point=pts[worst], tol=tol)
+    pts = pts.reshape(-1, pts.shape[-1])  # one point (n,) is a grid (1, n)
+    mn, worst = _grid_min(*_checked_field_data(pair, pts, model, rep)[2:])
+    return ConeMembership(passed=mn >= -PSD_TOL, min_eigenvalue=mn, worst_point=pts[worst])
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +706,6 @@ def verify_vector_noop(model: SpacetimeModel, pair: CausalElementPair, grid,
     """
     if model.vector_potentials is None:
         raise ValueError("model carries no vector potentials")
-    from .clifford import make_representation
-
     rep = rep or make_representation(model.dimension)
     pts = np.asarray(grid, dtype=float)
     if pts.ndim == 1:

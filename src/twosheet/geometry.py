@@ -19,12 +19,13 @@ dynamic program followed by deterministic polyline refinement.  The lattice runs
 in null coordinates u = t + sigma, v = t - sigma of the flat reference cone over
 the diamond J+(p) ∩ J-(q), so p and q are nodes and the chord p -> q is its
 diagonal (longest chains on a causal lattice approximate proper time: Brightwell
-& Gregory, PRL 66 (1991) 260).  Refinement first replaces dyadic spans by
-straight chords, the whole span first, in batches of chords that share no segment,
-then moves single nodes sideways in red/black sweeps (all odd nodes, then all even
-ones), one batch or colour per `_segment_values` call.  The refined value is a
-certified lower bound that converges as the lattice refines; a pure lattice path
-underestimates because of velocity quantization, so refinement is not optional.
+& Gregory, PRL 66 (1991) 260).  Refinement has one move, new interior nodes for
+segment-disjoint spans (straight chords, then sideways shifts), and one rule: every
+new segment has eta(w, w) <= 0 at every sample.  A rejected move only gives up a
+gain, so that test is strict; the relation, the vielbein4d lattice masks and the
+cone chords keep CURVE_TOL, so that no pair on the null boundary reads unrelated.
+The refined value is a certified lower bound that converges as the lattice refines;
+a pure lattice path underestimates (velocity quantization), so refinement is not optional.
 Whether p precedes q is decided once per pair, at the lattice resolution in use:
 on vielbein4d a non-causal chord leaves it to the diamond lattice, whose path
 then seeds the refinement, so `max_weighted_length(time_steps=N)` decides at N.
@@ -548,8 +549,7 @@ def _relation(model: SpacetimeModel, p: np.ndarray, q: np.ndarray,
         return False, None
     if r <= 1e-14 and abs(dt) <= 1e-14:
         return True, None
-    _, ok = _segment_values(model, p[None, :], q[None, :], nsub=16)
-    if bool(ok[0]):
+    if _segment_values(model, p[None, :], q[None, :], nsub=16)[1][0] <= CURVE_TOL:
         return True, None
     path = _diamond_path(model, p, q, steps)
     return path is not None, path
@@ -571,18 +571,18 @@ def is_causally_related(p, q, model: SpacetimeModel) -> bool:
 def _segment_values(model: SpacetimeModel, a, b, nsub: int = 8):
     """Weighted lengths of straight segments a->b via midpoint composite quadrature.
 
-    a, b: (..., n) endpoint arrays.  Returns (`_integrand`'s means, the causal+future
-    admissibility mask of the samples); a segment of length <= 1e-14 counts as
-    future-directed.
+    a, b: (..., n) endpoint arrays.  Returns (`_integrand`'s means, each segment's
+    worst causality defect over its samples, +inf where a sample is past-directed);
+    a segment of length <= 1e-14 counts as future-directed.  Callers threshold the
+    defect: CURVE_TOL for the relation, 0 for refinement moves.
     """
     a = np.asarray(a, dtype=float)
     delta = np.asarray(b, dtype=float) - a
     fr = (np.arange(nsub) + 0.5) / nsub
     pts = a[..., None, :] + fr[:, None] * delta[..., None, :]
     w, _, defect, vals = _integrand(model, pts, delta[..., None, :])
-    causal = (defect <= CURVE_TOL).all(-1)
     future = (w[..., 0] > 0).all(-1) | ((delta * delta).sum(-1) <= 1e-28)
-    return vals, causal & future
+    return vals, np.where(future, defect.max(-1), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +719,8 @@ def _masked_edges(model: SpacetimeModel, pts: np.ndarray, lo: np.ndarray, hi: np
     run = pts[i, lo[i]:hi[i]]
     starts = [pts[i - a, c0 - b:c1 - b] for a, b, c0, c1 in spans] + [run[:-1]]
     ends = [pts[i, c0:c1] for _, _, c0, c1 in spans] + [run[1:]]
-    vals, ok = _segment_values(model, np.concatenate(starts), np.concatenate(ends), nsub=1)
+    vals, defect = _segment_values(model, np.concatenate(starts), np.concatenate(ends), nsub=1)
+    ok = defect <= CURVE_TOL
     vals = np.where(ok, vals, -np.inf)
     e0 = 0
     for a, b, c0, c1 in spans:
@@ -773,22 +774,24 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
                      nsub: int) -> Tuple[float, np.ndarray]:
     """Deterministic improvement of a causal polyline; returns (value, nodes).
 
-    Two moves, each batched over nodes whose segments do not overlap, so one
-    `_segment_values` call serves a whole batch:
+    One move, `_move_spans`, gives spans that share no segment new interior nodes,
+    one `_segment_values` call per batch, in two phases:
 
-    - Chord replacement: replace a dyadic span of nodes by the straight chord
-      between its endpoints (repairs the lattice's velocity quantization).  Spans
-      halve from the whole polyline down to 2; the chords of one span start every
-      span // 2 nodes and are tried in groups of segment-disjoint chords.  Only the
-      interior nodes of a chord move, so its endpoints stay exact.
-    - Node moves: shift single interior nodes sideways (polishes the local
+    - Chords: the straight chord between a dyadic span's end nodes, at its interior
+      nodes' times (repairs the lattice's velocity quantization).  Spans halve from
+      the whole polyline down to 2; the chords of one span start every span // 2
+      nodes and are tried in groups of segment-disjoint chords.
+    - Node shifts: single interior nodes moved sideways (polishes the local
       profile), in red/black sweeps: all odd nodes, then all even ones.  Each node
       tries every direction, then the steps hx and hx/4, then both signs, starting
       from wherever its last accepted move left it.  At most two sweeps run, and
       they stop early when a sweep improves nothing.
 
-    A move is accepted when every new segment is causal and future-directed and
-    the value gains more than 1e-15, so the value is always a certified lower bound.
+    A move is kept only where every new segment is future-directed with
+    eta(w, w) <= 0 at every sample and the value gains more than 1e-15; end nodes
+    never move.  A segment spacelike by an ulp, within the relation's CURVE_TOL,
+    would lift the value above the supremum near the null cone, while a rejected
+    move only gives up a gain: so the value is a certified lower bound.
     """
     nodes = np.array(nodes, dtype=float)
     L = len(nodes)
@@ -800,7 +803,11 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
         starts = np.arange(0, L - span, step)
         stride = -(-span // step)  # chords stride * step apart share no segment
         for first in range(min(stride, len(starts))):
-            _replace_chords(model, nodes, seg, starts[first::stride], span, nsub)
+            i = starts[first::stride]
+            a, b = nodes[i, None], nodes[i + span, None]
+            t = nodes[i[:, None] + np.arange(1, span), :1]
+            frac = (t - a[..., :1]) / np.maximum(b[..., :1] - a[..., :1], 1e-300)
+            _move_spans(model, nodes, seg, i, a + frac * (b - a), nsub)
         span //= 2
 
     if model.dimension == 2:
@@ -818,43 +825,26 @@ def _refine_polyline(model: SpacetimeModel, nodes: np.ndarray, hx: float,
             for d in directions:
                 for step in (hx, 0.25 * hx):
                     for sign in (1.0, -1.0):
-                        improved |= _move_nodes(model, nodes, seg, ks, sign * step * d, nsub)
+                        shifted = nodes[ks, None] + sign * step * d
+                        improved |= _move_spans(model, nodes, seg, ks - 1, shifted, nsub)
         if not improved:
             break
 
     return float(np.sum(seg)), nodes
 
 
-def _replace_chords(model, nodes, seg, starts, span, nsub) -> None:
-    """Try the chords [i, i + span] for segment-disjoint starts i, in place."""
-    _, ok = _segment_values(model, nodes[starts], nodes[starts + span], nsub=nsub)
-    starts = starts[ok]
-    if len(starts) == 0:
-        return
+def _move_spans(model, nodes, seg, starts, interior, nsub) -> bool:
+    """Give the spans [i, i + span] (starts i, no two sharing a segment) the interior
+    nodes `interior` (B, span - 1, n) where `_refine_polyline`'s rule accepts them;
+    in place.  Returns whether any span moved."""
+    span = interior.shape[1] + 1
     idx = starts[:, None] + np.arange(span + 1)
-    a, b = nodes[starts], nodes[starts + span]
-    frac = (nodes[idx, 0] - a[:, :1]) / np.maximum(b[:, :1] - a[:, :1], 1e-300)
-    straight = a[:, None, :] + frac[..., None] * (b - a)[:, None, :]
-    straight[:, -1] = b  # a + 1 * (b - a) can miss b by an ulp
-    new_vals = _segment_values(model, straight[:, :-1], straight[:, 1:], nsub=nsub)[0]
-    better = np.sum(new_vals, axis=-1) > np.sum(seg[idx[:, :-1]], axis=-1) + 1e-15
-    nodes[idx[better, 1:-1]] = straight[better, 1:-1]
-    seg[idx[better, :-1]] = new_vals[better]
-
-
-def _move_nodes(model, nodes, seg, ks, shift, nsub) -> bool:
-    """Shift the nodes ks (no two adjacent) by `shift` where that gains; in place."""
-    n = len(ks)
-    cand = nodes[ks] + shift
-    vals, ok = _segment_values(model, np.concatenate([nodes[ks - 1], cand]),
-                               np.concatenate([cand, nodes[ks + 1]]), nsub=nsub)
-    va, vb = vals[:n], vals[n:]
-    better = ok[:n] & ok[n:] & (va + vb > seg[ks - 1] + seg[ks] + 1e-15)
-    moved = ks[better]
-    nodes[moved] = cand[better]
-    seg[moved - 1] = va[better]
-    seg[moved] = vb[better]
-    return bool(np.any(better))
+    path = np.concatenate([nodes[starts, None], interior, nodes[starts + span, None]], axis=1)
+    vals, defect = _segment_values(model, path[:, :-1], path[:, 1:], nsub=nsub)
+    better = (defect <= 0.0).all(-1) & (vals.sum(-1) > seg[idx[:, :-1]].sum(-1) + 1e-15)
+    nodes[idx[better, 1:-1]] = interior[better]
+    seg[idx[better, :-1]] = vals[better]
+    return bool(better.any())
 
 
 def _polyline_to_curve(nodes: np.ndarray) -> CausalCurve:

@@ -36,12 +36,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .clifford import make_representation
 from .cone import (
-    OBSTRUCTION_BLOCKS_4D,
     CausalElementPair,
     FunctionField,
-    _block_generators,
     _grid_min,
     certification_grid,
     ordering_gap,
@@ -271,8 +268,6 @@ class _GridContext:
             raise ValueError("the coordinate time function is not causal for this model; "
                              "oracle sampling needs a causal time slicing")
         self.fT = fT
-        self.generators = (None if model.dimension == 2 else _block_generators(
-            make_representation(model.dimension), OBSTRUCTION_BLOCKS_4D))
 
     @np.errstate(all="ignore")  # a non-finite frame fails the certificate
     def perturbation(self, c: Dict[str, np.ndarray]):
@@ -286,13 +281,13 @@ class _GridContext:
 
     def largest_shrink(self, pert) -> float:
         """Largest s in [0, 1] keeping every grid block of T + s * bumps PSD."""
-        lam = _grid_min(*_rest_frame(self.fT, *pert), self.generators)[0]
+        lam = _grid_min(*_rest_frame(self.fT, *pert))[0]
         return 1.0 / max(1.0, -lam)
 
     def min_eigenvalue(self, pert, s: float) -> float:
         """Grid minimum of the smallest obstruction eigenvalue of T + s * bumps."""
         fa, fb, z = pert
-        return _grid_min(self.fT + s * fa, self.fT + s * fb, s * z, self.generators)[0]
+        return _grid_min(self.fT + s * fa, self.fT + s * fb, s * z)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ import pytest
 from twosheet import modelfile
 from twosheet.clifford import make_representation
 from twosheet.cone import (
+    _BLOCK_GENERATORS_4D as G4,
     CERTIFY_BLOCK_POINTS,
-    OBSTRUCTION_BLOCKS_4D,
     CausalElementPair,
     FunctionField,
     _assemble,
-    _block_generators,
     _bracket_4d,
     _grid_min,
     certification_grid,
@@ -75,6 +74,19 @@ def test_dimension_mismatch_rejected():
         obstruction_matrices(pair, np.zeros((3, 4)), m, REP2)
     with pytest.raises(ValueError):
         obstruction_matrices(pair, np.zeros((3, 2)), m, REP4)
+
+
+@pytest.mark.parametrize("dim,rep", [(2, REP4), (4, REP2)])
+def test_psd_entry_points_reject_a_representation_of_another_dimension(dim, rep):
+    # a 2D representation on flat4d used to raise IndexError, and a 4D one on
+    # flat2d was silently ignored
+    m = SpacetimeModel.minkowski(dim)
+    pair = CausalElementPair.from_expressions("t", "t", dim)
+    grid = certification_grid(m, per_axis=3)
+    with pytest.raises(ValueError, match="share one dimension"):
+        is_causal_element(pair, m, rep, grid=grid)
+    with pytest.raises(ValueError, match="share one dimension"):
+        pointwise_min_eigenvalues(pair, grid, m, rep)
 
 
 def test_nonfinite_gradient_rejected():
@@ -240,9 +252,6 @@ def test_pointwise_min_eigenvalues_match_dense_eigsolver():
 # ---------------------------------------------------------------------------
 # bracketed grid minimum
 
-G4 = _block_generators(REP4, OBSTRUCTION_BLOCKS_4D)
-
-
 def _dense_grid_min(fa, fb, z):
     eigs = np.linalg.eigvalsh(_assemble(G4, fa, fb, z))[..., 0].min(axis=-1)
     i = int(np.argmin(eigs))
@@ -261,14 +270,14 @@ def _random_blocks(rng, n, tilt=1.0):
 @pytest.mark.parametrize("tilt", [0.05, 0.3, 3.0])
 def test_grid_min_matches_the_dense_sweep(seed, tilt):
     fa, fb, z = _random_blocks(np.random.default_rng(seed), 3000, tilt)
-    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+    assert _grid_min(fa, fb, z) == _dense_grid_min(fa, fb, z)
 
 
 def test_grid_min_with_zero_coupling():
     # z = 0 leaves B = 0, so the bracket is tight: lb = ub at every point
     fa, fb, _ = _random_blocks(np.random.default_rng(1), 2000, 0.3)
     z = np.zeros(2000, dtype=complex)
-    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+    assert _grid_min(fa, fb, z) == _dense_grid_min(fa, fb, z)
 
 
 def test_grid_min_takes_the_first_of_repeated_points():
@@ -276,10 +285,10 @@ def test_grid_min_takes_the_first_of_repeated_points():
     _, worst = _dense_grid_min(fa, fb, z)
     for k in (3, 17, min(worst + 5, 499)):  # copies of the worst point around it
         fa[k], fb[k], z[k] = fa[worst], fb[worst], z[worst]
-    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
-    assert _grid_min(fa, fb, z, G4)[1] == min(3, worst)
+    assert _grid_min(fa, fb, z) == _dense_grid_min(fa, fb, z)
+    assert _grid_min(fa, fb, z)[1] == min(3, worst)
     same = [np.repeat(x[:1], 64, axis=0) for x in (fa, fb, z)]
-    assert _grid_min(*same, G4) == (_dense_grid_min(*same)[0], 0)
+    assert _grid_min(*same) == (_dense_grid_min(*same)[0], 0)
 
 
 @pytest.mark.parametrize("where", ["fa", "z"])
@@ -287,7 +296,7 @@ def test_grid_min_fails_closed_on_nan(where):
     # eigvalsh raises on NaN; the bracket reads the point as NaN instead
     fa, fb, z = _random_blocks(np.random.default_rng(3), 400, 0.3)
     {"fa": fa[:, 2], "z": z}[where][123] = np.nan
-    value, index = _grid_min(fa, fb, z, G4)
+    value, index = _grid_min(fa, fb, z)
     assert np.isnan(value) and index == 123
 
 
@@ -296,11 +305,36 @@ def test_grid_min_over_entries_from_1e_minus_8_to_1e4():
     fa, fb, z = _random_blocks(rng, 3000, 0.3)
     scale = 10.0 ** rng.uniform(-8, 4, size=(3, 3000))
     fa, fb, z = fa * scale[0, :, None], fb * scale[1, :, None], z * scale[2]
-    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+    assert _grid_min(fa, fb, z) == _dense_grid_min(fa, fb, z)
     # the same spread with the large points kept PSD, so small points decide
     fa, fb, z = _random_blocks(rng, 3000, 0.1)
     fa, fb, z = fa * scale[0, :, None], fb * scale[0, :, None], z * scale[0]
-    assert _grid_min(fa, fb, z, G4) == _dense_grid_min(fa, fb, z)
+    assert _grid_min(fa, fb, z) == _dense_grid_min(fa, fb, z)
+
+
+def test_4d_pair_with_a_nan_value_reads_nan_at_that_point():
+    # a NaN value leaves the gradients finite but the coupling z = m (a - b) NaN;
+    # eigvalsh raised "Eigenvalues did not converge" on it
+    m = SpacetimeModel.minkowski(4, mass=0.8 - 0.4j)
+    grid = certification_grid(m, per_axis=3)
+    k = 40
+
+    def value(pts):
+        out = pts[..., 0] + 0.1 * np.sin(pts[..., 1])
+        return np.where(np.all(pts == grid[k], axis=-1), np.nan, out)
+
+    def gradient(pts):
+        g = np.zeros(pts.shape)
+        g[..., 0], g[..., 1] = 1.0, 0.1 * np.cos(pts[..., 1])
+        return g
+
+    pair = CausalElementPair(a=FunctionField(value, gradient),
+                             b=CausalElementPair.from_expressions("t", "t", 4).b)
+    eigs = pointwise_min_eigenvalues(pair, grid, m, REP4)
+    assert np.isnan(eigs[k]) and np.isfinite(np.delete(eigs, k)).all()
+    res = is_causal_element(pair, m, REP4, grid=grid)
+    assert np.isnan(res.min_eigenvalue) and not res.passed
+    np.testing.assert_array_equal(res.worst_point, grid[k])
 
 
 def test_is_causal_element_reports_the_dense_minimum():
@@ -378,7 +412,7 @@ def test_grid_min_with_every_point_a_candidate(monkeypatch):
                                       grid, m)
     dense = _dense_grid_min(fa, fb, z)
     sizes = _eigvalsh_batches(monkeypatch)
-    assert _grid_min(fa, fb, z, G4) == dense == (1.0, 0)
+    assert _grid_min(fa, fb, z) == dense == (1.0, 0)
     assert sum(sizes) == len(grid) == 17 ** 4
     assert len(sizes) == -(-len(grid) // CERTIFY_BLOCK_POINTS) > 1
     assert max(sizes) == CERTIFY_BLOCK_POINTS
@@ -389,7 +423,7 @@ def test_grid_min_reads_nan_at_its_own_index_in_a_later_batch(where):
     fa, fb, z = _random_blocks(np.random.default_rng(5), 3 * CERTIFY_BLOCK_POINTS, 0.3)
     k = 2 * CERTIFY_BLOCK_POINTS + 77
     {"fa": fa[:, 1], "fb": fb[:, 3], "z": z}[where][k] = np.nan
-    value, index = _grid_min(fa, fb, z, G4)
+    value, index = _grid_min(fa, fb, z)
     assert np.isnan(value) and index == k
 
 

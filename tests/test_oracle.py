@@ -208,8 +208,8 @@ def test_shrink_is_the_exact_root(name, per_axis, count):
         assert el.min_eigenvalue >= -1e-9
 
 
-def _dense_grid_min(fa, fb, z, generators=None):
-    eigs = cone._min_eigenvalues(fa, fb, z, generators)
+def _dense_grid_min(fa, fb, z):
+    eigs = cone._min_eigenvalues(fa, fb, z)
     i = int(np.argmin(eigs))
     return float(eigs[i]), i
 
